@@ -24,6 +24,7 @@ from math import factorial
 from stabletrop.cycles import (
     TropicalCycle,
     _normal_in_quotient,
+    _ridge_index,
     ambient_cycle,
     cycle,
     cycle_sum,
@@ -34,7 +35,13 @@ from stabletrop.cycles import (
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import nullspace_rational, quotient_matrix, rref
 from stabletrop.linprog import feasible_point
-from stabletrop.polyhedra import Polyhedron, is_polyhedral_complex, refine_cells
+from stabletrop.polyhedra import (
+    Polyhedron,
+    _cut,
+    _hyperplanes_of,
+    is_polyhedral_complex,
+    refine_cells,
+)
 from stabletrop.polytopes import RationalPolytope, polytope, tropical_hypersurface
 from stabletrop.stable import stable_intersection
 
@@ -179,12 +186,8 @@ def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
     wall_list = list(seen.values())
     if not is_polyhedral_complex(wall_list):
         raise ValidationError("walls must form a complex")
-    ridges = {}
-    for idx, w in enumerate(wall_list):
-        for f in w.facets():
-            ridges.setdefault(f.key(), (f, []))[1].append(idx)
     rows = []
-    for ridge, adjacent in ridges.values():
+    for ridge, adjacent in _ridge_index(wall_list).values():
         qmat = quotient_matrix(ridge.direction_lattice())
         eq = [[Fraction(0)] * len(wall_list) for _ in range(2)]
         for idx in adjacent:
@@ -234,11 +237,7 @@ def polytope_from_weights(z: TropicalCycle) -> RationalPolytope:
     for c in z.cells:
         if not c.is_cone:
             raise ValidationError("reconstruction needs a fan")
-    chambers = [
-        piece
-        for idx, piece in refine_cells([Polyhedron.ambient(n)] + list(z.cells))
-        if idx == 0 and piece.dim == n
-    ]
+    chambers = _cut(Polyhedron.ambient(n), _hyperplanes_of(z.cells))
     verts = {0: tuple(Fraction(0) for _ in range(n))}
     queue = [0]
     while queue:

@@ -1,8 +1,10 @@
 """Connectivity of a cycle through codimension one.
 
 Two facets count as adjacent when they meet in dimension one less than
-the cycle. Presentations are refined to honest complexes first, so that
-the answer is an invariant of the cycle and not of how it was entered.
+the cycle. Presentations are refined to honest complexes first (the
+overlay `cycles._honest_refinement`), so that the answer is an invariant
+of the cycle and not of how it was entered; adjacency is then read off
+the ridge index `cycles._ridge_index`.
 
 The showcase scenario builds two three-dimensional cycles in Q^5 as
 stable squares of hypersurfaces. Each is connected through codimension
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from stabletrop.cycles import TropicalCycle, _honest_refinement, cycle, cycle_sum
-from stabletrop.polyhedra import Polyhedron, refine_cells
+from stabletrop.cycles import TropicalCycle, _honest_refinement, _ridge_index, cycle, cycle_sum
+from stabletrop.polyhedra import Polyhedron, covered_by
 from stabletrop.polytopes import RationalPolytope, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_intersection, stable_power
 
@@ -28,16 +30,9 @@ def facet_graph(x: TropicalCycle):
     when they share a ridge, so adjacency is read off ridge keys instead
     of all-pairs intersections.
     """
-    if x.is_zero:
-        return x, []
     refined = cycle(x.ambient_dim, _honest_refinement(x))
-    cells = refined.cells
-    ridge_members = {}
-    for i, c in enumerate(cells):
-        for f in c.facets():
-            ridge_members.setdefault(f.key(), []).append(i)
-    adj = [set() for _ in cells]
-    for members in ridge_members.values():
+    adj = [set() for _ in refined.cells]
+    for _, members in _ridge_index(refined.cells).values():
         for a in members:
             for b in members:
                 if a != b:
@@ -80,18 +75,7 @@ def is_connected_through_codim1(x: TropicalCycle) -> bool:
 
 def support_contains(x: TropicalCycle, region: Polyhedron) -> bool:
     """Whether the region lies inside the support of x."""
-    if region.is_empty:
-        return True
-    if x.is_zero:
-        return False
-    pieces = refine_cells([region] + list(x.cells))
-    for idx, piece in pieces:
-        if idx != 0:
-            continue
-        g = piece.interior_point()
-        if not any(c.contains(g) for c in x.cells):
-            return False
-    return True
+    return covered_by(region, x.cells)
 
 
 def supports_meet_only_at_origin(a: TropicalCycle, b: TropicalCycle) -> bool:

@@ -1,12 +1,17 @@
 """Tropical cycles: weighted pure-dimensional rational polyhedral complexes.
 
 A cycle is stored as a list of cells with rational multiplicities. Cells
-are not required to form an honest complex at construction time; sums,
-equality tests and the balancing check normalize by overlaying cells that
-share an affine hull and, for balancing, by a global arrangement
-refinement. Cycles are identified up to refinement: `cycles_equal` tests
-semantic equality, the dataclass equality is representation equality of
-the canonicalized cell lists.
+are not required to form an honest complex at construction time. The one
+overlay, `_overlay`, refines weighted cells by `refine_cells` and adds up
+the weights of identical pieces: sums and equality tests apply it per
+affine hull (`normalize_weighted`), balancing, connectivity and the
+engine's fallback to the whole cycle (`_honest_refinement`), and
+`pushforward` to the image cells. The one ridge index, `_ridge_index`,
+maps each ridge of a cell list to the cells having it as a facet; it
+serves `is_balanced`, `connectivity.facet_graph` and
+`algebra.build_hypersurface_basis`. Cycles are identified up to
+refinement: `cycles_equal` tests semantic equality, the dataclass
+equality is representation equality of the canonicalized cell lists.
 """
 
 from __future__ import annotations
@@ -122,14 +127,23 @@ def scalar(c, x: TropicalCycle):
     return TropicalCycle(x.ambient_dim, x.cells, tuple(c * m for m in x.multiplicities))
 
 
-def normalize_weighted(ambient_dim, weighted_cells, dim_hint=None):
+def _overlay(weighted_cells):
+    """Weighted cells refined by all their facet hyperplanes, weights of
+    identical pieces added and zero totals dropped; (piece, weight) pairs
+    in order of first appearance."""
+    acc = {}
+    for idx, piece in refine_cells([c for c, _ in weighted_cells]):
+        entry = acc.setdefault(piece.key(), [piece, Fraction(0)])
+        entry[1] += weighted_cells[idx][1]
+    return [(p, m) for p, m in acc.values() if m != 0]
+
+
+def normalize_weighted(ambient_dim, weighted_cells):
     """Canonical overlay of weighted cells sharing an affine hull.
 
-    Within each affine hull the cells are refined by all facet
-    hyperplanes of the group, multiplicities accumulate on identical
-    pieces and zero totals vanish. Cells in different hulls never merge,
-    which is enough for cycle sums; the full arrangement refinement is
-    only needed for balancing and lives in `is_balanced`.
+    Each affine hull is overlaid on its own. Cells in different hulls
+    never merge, which is enough for cycle sums; balancing needs the
+    overlay of the whole cycle, `_honest_refinement`.
     """
     groups = {}
     for c, m in weighted_cells:
@@ -140,14 +154,7 @@ def normalize_weighted(ambient_dim, weighted_cells, dim_hint=None):
         groups.setdefault(key, []).append((c, m))
     out = []
     for members in groups.values():
-        pieces = refine_cells([c for c, _ in members])
-        acc = {}
-        for idx, piece in pieces:
-            k = piece.key()
-            if k not in acc:
-                acc[k] = [piece, Fraction(0)]
-            acc[k][1] += members[idx][1]
-        out.extend((p, m) for p, m in acc.values() if m != 0)
+        out.extend(_overlay(members))
     return cycle(ambient_dim, out)
 
 
@@ -173,16 +180,18 @@ def cycles_equal(x: TropicalCycle, y: TropicalCycle):
 
 
 def _honest_refinement(x: TropicalCycle):
-    """Weighted cells refined into a genuine complex by the global
+    """Weighted cells of x refined into a genuine complex by the global
     arrangement of all facet hyperplanes, overlaps merged."""
-    pieces = refine_cells(list(x.cells))
-    acc = {}
-    for idx, piece in pieces:
-        k = piece.key()
-        if k not in acc:
-            acc[k] = [piece, Fraction(0)]
-        acc[k][1] += x.multiplicities[idx]
-    return [(p, m) for p, m in acc.values() if m != 0]
+    return _overlay(x.weighted_cells())
+
+
+def _ridge_index(cells):
+    """Ridge key -> (ridge, indices of the cells having it as a facet)."""
+    ridges = {}
+    for idx, c in enumerate(cells):
+        for f in c.facets():
+            ridges.setdefault(f.key(), (f, []))[1].append(idx)
+    return ridges
 
 
 def _normal_in_quotient(qmat, sigma: Polyhedron, ridge: Polyhedron):
@@ -214,21 +223,16 @@ def is_balanced(x: TropicalCycle):
     if x.is_zero or x.dim == 0:
         return True, []
     cells = _honest_refinement(x)
-    ridges = {}
-    for c, _ in cells:
-        for f in c.facets():
-            ridges.setdefault(f.key(), f)
     failures = []
-    for ridge in ridges.values():
+    # in a genuine complex the cells containing a ridge are those having it as a facet
+    for ridge, members in _ridge_index([c for c, _ in cells]).values():
         qmat = quotient_matrix(ridge.direction_lattice())
-        total = None
-        for c, m in cells:
-            if not c.contains_poly(ridge):
-                continue
+        total = (0,) * len(qmat)
+        for i in members:
+            c, m = cells[i]
             g = _normal_in_quotient(qmat, c, ridge)
-            term = tuple(m * a for a in g)
-            total = term if total is None else tuple(s + t for s, t in zip(total, term))
-        if total is not None and not vec_is_zero(total):
+            total = tuple(s + m * a for s, a in zip(total, g))
+        if not vec_is_zero(total):
             failures.append((ridge, total))
     return not failures, failures
 
@@ -280,7 +284,7 @@ def pushforward(matrix, x: TropicalCycle):
 
     The weight of an image facet piece is the sum over source facets
     covering it of the source weight times the index of the pushed
-    direction lattice inside the piece's saturated direction lattice.
+    direction lattice inside the image cell's saturated direction lattice.
     Requires the drop in dimension to be accounted for by global
     lineality collapsing, so that generic fibers are translates of one
     linear space and the count is finite.
@@ -304,25 +308,19 @@ def pushforward(matrix, x: TropicalCycle):
             "pushforward collapses a facet beyond the global lineality; "
             f"image dimension {k_img}, expected {x.dim - lin_drop}"
         )
-    cand = []
+    weighted = []
     for img, mult, src in zip(images, x.multiplicities, x.cells):
-        if img.dim == k_img:
-            pushed = LatticeSubgroup.from_vectors(
-                m, [mat_vec(matrix, g) for g in src.direction_lattice().generators]
-            )
-            cand.append((img, mult, pushed))
-    pieces = refine_cells([img for img, _, _ in cand])
-    acc = {}
-    for idx, piece in pieces:
-        _, mult, pushed = cand[idx]
-        index = lattice_index(piece.direction_lattice(), pushed)
+        if img.dim != k_img:
+            continue
+        pushed = LatticeSubgroup.from_vectors(
+            m, [mat_vec(matrix, g) for g in src.direction_lattice().generators]
+        )
+        # every piece of img has img's direction lattice, hence this index
+        index = lattice_index(img.direction_lattice(), pushed)
         if index is None:
-            raise ValidationError("pushed lattice does not span the piece")
-        k = piece.key()
-        if k not in acc:
-            acc[k] = [piece, Fraction(0)]
-        acc[k][1] += mult * index
-    return cycle(m, [(p, w) for p, w in acc.values() if w != 0])
+            raise ValidationError("pushed lattice does not span the image cell")
+        weighted.append((img, mult * index))
+    return cycle(m, _overlay(weighted))
 
 
 @dataclass(frozen=True)

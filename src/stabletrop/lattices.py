@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
 IntVector = tuple
 IntMatrix = tuple
 
@@ -21,16 +20,8 @@ class SubgroupError(ValueError):
     """A lattice operation received generators outside the ambient group."""
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u, v):
@@ -57,11 +48,6 @@ def transpose(m):
 
 def mat_vec(m, v):
     return tuple(vec_dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
 def primitive(v) -> IntVector:
@@ -122,12 +108,12 @@ def rank_rows(rows) -> int:
     return int_rank(scaled)
 
 
-def row_hermite(rows, keep_zero_rows: bool = False) -> IntMatrix:
+def row_hermite(rows) -> IntMatrix:
     """Row Hermite normal form of an integer matrix.
 
     Pivots are positive, entries below a pivot are zero and entries above it
     are reduced into [0, pivot). The result is the canonical basis of the
-    row lattice; zero rows are dropped unless keep_zero_rows is set.
+    row lattice; zero rows are dropped.
     """
     m = [list(int(a) for a in r) for r in rows]
     nr = len(m)
@@ -162,21 +148,7 @@ def row_hermite(rows, keep_zero_rows: bool = False) -> IntMatrix:
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
         r += 1
-    out = [tuple(row) for row in m[:r]]
-    if keep_zero_rows:
-        out += [tuple(0 for _ in range(nc)) for _ in range(nr - r)]
-    return tuple(out)
-
-
-def hnf(matrix) -> IntMatrix:
-    """Column Hermite normal form with the same column span.
-
-    Implemented as the transpose of the row Hermite form of the transpose;
-    zero columns are kept at the end so the shape is preserved.
-    """
-    mt = transpose(mat_from_rows(matrix))
-    h = row_hermite(mt, keep_zero_rows=True)
-    return transpose(h)
+    return tuple(tuple(row) for row in m[:r])
 
 
 def snf_transform(matrix):
@@ -315,39 +287,6 @@ def solve_integer(matrix, rhs):
         elif ub[i] != 0:
             return None
     return mat_vec(v, tuple(y))
-
-
-def solve_rational(matrix, rhs):
-    """One rational solution x of matrix * x == rhs, or None."""
-    nr = len(matrix)
-    nc = len(matrix[0]) if nr else 0
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [a / pv for a in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nr):
-        if aug[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][nc]
-    return tuple(x)
 
 
 def rref(rows):

@@ -265,10 +265,7 @@ class Polyhedron:
             self._vrep = ((), (), ())
             return self._vrep
         n = self.ambient_dim
-        if self._raw_ineqs is not None:
-            ineq_rows, eq_rows = self._raw_ineqs, self._raw_eqs
-        else:
-            ineq_rows, eq_rows = self.hrep()
+        ineq_rows, eq_rows = self._constraints()
         # homogenize: a.x <= b t, c.x == d t, t >= 0
         eqn = [r[:n] + (-r[n],) for r in eq_rows]
         inn = [tuple(-x for x in r[:n]) + (r[n],) for r in ineq_rows]
@@ -317,6 +314,13 @@ class Polyhedron:
         self._hrep = (tuple(sorted(out)), eq_rows)
         return self._hrep
 
+    def _constraints(self):
+        """(ineq_rows, eq_rows) as given when built from constraints,
+        else the canonical H-representation."""
+        if self._raw_ineqs is not None:
+            return self._raw_ineqs, self._raw_eqs
+        return self.hrep()
+
     @property
     def ineq_rows(self):
         return self.hrep()[0]
@@ -360,7 +364,7 @@ class Polyhedron:
             return False
         x = tuple(Fraction(a) for a in x)
         n = self.ambient_dim
-        ineqs, eqs = (self._raw_ineqs, self._raw_eqs) if self._raw_ineqs is not None else self.hrep()
+        ineqs, eqs = self._constraints()
         return all(vec_dot(r[:n], x) <= r[n] for r in ineqs) and all(
             vec_dot(r[:n], x) == r[n] for r in eqs
         )
@@ -448,8 +452,8 @@ class Polyhedron:
         n = self.ambient_dim
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(n)
-        si, se = (self._raw_ineqs, self._raw_eqs) if self._raw_ineqs is not None else self.hrep()
-        oi, oe = (other._raw_ineqs, other._raw_eqs) if other._raw_ineqs is not None else other.hrep()
+        si, se = self._constraints()
+        oi, oe = other._constraints()
         return Polyhedron.from_hrep(
             n,
             [(r[:n], r[n]) for r in si + oi],
@@ -462,7 +466,7 @@ class Polyhedron:
         if self.is_empty:
             return self
         if self._raw_ineqs is not None or self._hrep is not None:
-            ineqs, eqs = (self._raw_ineqs, self._raw_eqs) if self._raw_ineqs is not None else self.hrep()
+            ineqs, eqs = self._constraints()
             return Polyhedron.from_hrep(
                 n,
                 [(r[:n], r[n] + vec_dot(r[:n], t)) for r in ineqs],
@@ -613,7 +617,7 @@ def point_in_sum(polys, x, signs=None):
     ineqs = []
     eqs = []
     for i, p in enumerate(polys):
-        pi, pe = p.hrep() if p._raw_ineqs is None else (p._raw_ineqs, p._raw_eqs)
+        pi, pe = p._constraints()
         for r in pi:
             row = [0] * width
             row[i * n : (i + 1) * n] = list(r[:n])
@@ -628,29 +632,6 @@ def point_in_sum(polys, x, signs=None):
             row[i * n + j] = s
         eqs.append((tuple(row), x[j]))
     return feasible_point(width, ineqs, eqs) is not None
-
-
-def common_refinement(cells_a, cells_b):
-    """Inclusion-maximal nonempty pairwise intersections of two cell lists."""
-    raw = []
-    for p in cells_a:
-        for q in cells_b:
-            c = p.intersect(q)
-            if not c.is_empty:
-                raw.append(c)
-    out = []
-    for i, c in enumerate(raw):
-        maximal = True
-        for j, d in enumerate(raw):
-            if i != j and d.contains_poly(c) and not c.contains_poly(d):
-                maximal = False
-                break
-        if maximal:
-            out.append(c)
-    seen = {}
-    for c in out:
-        seen[c.key()] = c
-    return list(seen.values())
 
 
 def _hyperplanes_of(cells):
@@ -668,6 +649,26 @@ def _hyperplanes_of(cells):
     return list(planes)
 
 
+def _cut(cell, planes):
+    """Pieces of one cell cut by hyperplane rows (a..., b), each piece of
+    the cell's dimension and weakly on one side of every hyperplane."""
+    n = cell.ambient_dim
+    pieces = [cell]
+    for row in planes:
+        a, b = row[:n], row[n]
+        nxt = []
+        for p in pieces:
+            lo = p.intersect(Polyhedron.from_hrep(n, [(a, b)]))
+            hi = p.intersect(Polyhedron.from_hrep(n, [(tuple(-x for x in a), -b)]))
+            keep = [s for s in (lo, hi) if not s.is_empty and s.dim == p.dim]
+            if len(keep) == 2 and keep[0] == keep[1]:
+                # p lies inside the hyperplane
+                keep = keep[:1]
+            nxt.extend(keep)
+        pieces = nxt
+    return pieces
+
+
 def refine_cells(cells):
     """Refine each cell by every hyperplane spanned by any cell's facets.
 
@@ -677,28 +678,21 @@ def refine_cells(cells):
     pairwise intersections are covered by those hyperplanes (always true:
     all facets of all cells are included).
     """
-    if not cells:
-        return []
-    n = cells[0].ambient_dim
     planes = _hyperplanes_of(cells)
-    out = []
-    for idx, cell in enumerate(cells):
-        pieces = [cell]
-        for row in planes:
-            a, b = row[:n], row[n]
-            nxt = []
-            for p in pieces:
-                lo = p.intersect(Polyhedron.from_hrep(n, [(a, b)]))
-                hi = p.intersect(Polyhedron.from_hrep(n, [(tuple(-x for x in a), -b)]))
-                keep = [s for s in (lo, hi) if not s.is_empty and s.dim == p.dim]
-                if len(keep) == 2 and keep[0] == keep[1]:
-                    # p lies inside the hyperplane
-                    keep = keep[:1]
-                nxt.extend(keep)
-            pieces = nxt
-        for p in pieces:
-            out.append((idx, p))
-    return out
+    return [(idx, piece) for idx, cell in enumerate(cells) for piece in _cut(cell, planes)]
+
+
+def covered_by(region, cells):
+    """Whether the region lies inside the union of the cells.
+
+    Only the region is cut, by the hyperplanes of itself and the cells. No
+    such hyperplane crosses a piece, so a piece lies in a cell exactly
+    when its interior point does.
+    """
+    if region.is_empty:
+        return True
+    pieces = _cut(region, _hyperplanes_of([region] + list(cells)))
+    return all(any(c.contains(p.interior_point()) for c in cells) for p in pieces)
 
 
 def is_polyhedral_complex(cells):

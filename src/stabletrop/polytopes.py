@@ -28,7 +28,7 @@ from stabletrop.lattices import (
     transpose,
     vec_sub,
 )
-from stabletrop.polyhedra import Polyhedron, refine_cells
+from stabletrop.polyhedra import Polyhedron, covered_by
 from stabletrop.stable import stable_intersection, stable_power
 
 
@@ -283,11 +283,4 @@ def union_is_polytope(p: RationalPolytope, q: RationalPolytope) -> bool:
     if p.ambient_dim != q.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     hull = polytope(p.ambient_dim, list(p.vertices) + list(q.vertices))
-    pieces = refine_cells([hull.polyhedron, p.polyhedron, q.polyhedron])
-    for idx, piece in pieces:
-        if idx != 0:
-            continue
-        g = piece.interior_point()
-        if not (p.polyhedron.contains(g) or q.polyhedron.contains(g)):
-            return False
-    return True
+    return covered_by(hull.polyhedron, [p.polyhedron, q.polyhedron])

@@ -111,17 +111,6 @@ def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
     return out
 
 
-def stable_support(x: TropicalCycle, y: TropicalCycle):
-    """Cells sigma cap tau over direction-spanning cell pairs; their union
-    is the support of the stable intersection."""
-    cells = {}
-    for i, j in _spanning_pairs(x, y):
-        w = x.cells[i].intersect(y.cells[j])
-        if not w.is_empty:
-            cells[w.key()] = w
-    return list(cells.values())
-
-
 def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False):
     """Displacement-definition engine; weights of both inputs must be > 0."""
     k_res = x.dim + y.dim - n
@@ -136,9 +125,9 @@ def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False)
         if not w.is_empty and w.dim == k_res:
             facets.setdefault(w.key(), w)
     weighted = []
-    contribs = []
+    contribs = {}
     amb = standard_lattice(n)
-    for w in facets.values():
+    for key, w in facets.items():
         gamma = w.interior_point()
         xin = {i for i, c in enumerate(x.cells) if c.contains(gamma)}
         yin = {j for j, c in enumerate(y.cells) if c.contains(gamma)}
@@ -171,14 +160,9 @@ def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False)
             rows.append(FacetContribution(i, j, idx, term))
         if total != 0:
             weighted.append((w, total))
-            contribs.append(tuple(rows))
+            contribs[key] = tuple(rows)
     result = cycle(n, weighted)
-    ordered = []
-    for c in result.cells:
-        k = c.key()
-        pos = next(pi for pi, (w, _) in enumerate(weighted) if w.key() == k)
-        ordered.append(contribs[pos])
-    return IntersectionTerm(sign, result, gen, tuple(ordered))
+    return IntersectionTerm(sign, result, gen, tuple(contribs[c.key()] for c in result.cells))
 
 
 def _affine_span_cycle(x: TropicalCycle):
@@ -236,6 +220,8 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
     acc = ambient_cycle(x.ambient_dim)
     for _ in range(k):
         acc = stable_intersection(acc, x)
+        if acc.is_zero:
+            break
     return acc
 
 
@@ -337,7 +323,7 @@ def perturbation_intersection(
         raise GenericityError("intersection pattern changed under eps halving")
     amb = standard_lattice(n)
     weighted = []
-    rec_acc = {}
+    limit = []
     for i, j, w in pieces:
         idx = lattice_index(
             amb,
@@ -347,10 +333,5 @@ def perturbation_intersection(
         weighted.append((w, term))
         rec = w.recession()
         if rec.dim == k_res:
-            k = rec.key()
-            if k not in rec_acc:
-                rec_acc[k] = [rec, Fraction(0)]
-            rec_acc[k][1] += term
-    transverse = cycle(n, weighted)
-    limit = cycle(n, [(c, m) for c, m in rec_acc.values() if m != 0])
-    return PerturbationResult(transverse, limit, gen, eps)
+            limit.append((rec, term))
+    return PerturbationResult(cycle(n, weighted), cycle(n, limit), gen, eps)

@@ -16,12 +16,49 @@ from stabletrop.lattices import (
     rational_to_primitive,
     rref,
     saturation,
-    solve_rational,
     transpose,
     vec_dot,
     vec_sub,
 )
 from stabletrop.linprog import feasible_point
+
+
+def mat_mul(a, b):
+    bt = transpose(b)
+    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def solve_rational(matrix, rhs):
+    """One rational solution x of matrix * x == rhs, or None."""
+    nr = len(matrix)
+    nc = len(matrix[0]) if nr else 0
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if aug[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [a / pv for a in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, nr):
+        if aug[i][nc] != 0:
+            return None
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][nc]
+    return tuple(x)
 
 
 def vgen_member(points, rays, lin, x):

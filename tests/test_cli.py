@@ -104,6 +104,10 @@ def test_power_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["power", t, "2"])
     assert code == 0
     assert json.loads(out)["cones"] == [{"rays": [], "mult": "1"}]
+    # the product is zero from k = 3 on, so a huge k returns at once
+    code, out, err = run(capsys, ["power", t, str(10**12)])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"ambient_dim": 2, "cones": [], "lineality": [], "rays": []}
 
 
 def test_check_balanced_exit_codes(tmp_path, capsys):

@@ -121,6 +121,26 @@ def test_balanced_cycle_constructor():
     balanced_cycle(2, [(line(2, (1, 5)), 7)])
 
 
+def test_unbalanced_overlapping_presentation_pins_defects():
+    # [0,1] x 0 weight 1, [1,2] x 0 weight 1 + 2, beyond (2,0) weight 2;
+    # the defect at a vertex is the weighted sum of outgoing primitive rays
+    x = cycle(
+        2,
+        [
+            (segment(2, (0, 0), (2, 0)), 1),
+            (ray(2, (1, 0), (1, 0)), 2),
+            (ray(2, (0, 1)), 1),
+            (ray(2, (-1, -1)), 1),
+        ],
+    )
+    ok, failures = is_balanced(x)
+    assert not ok
+    assert failures == [
+        (Polyhedron.point((1, 0)), (2, 0)),
+        (Polyhedron.point((2, 0)), (-1, 0)),
+    ]
+
+
 def test_balancing_of_translated_crossing_lines():
     # two transverse lines meeting away from the origin
     x = cycle(2, [(line(2, (1, 0)), 1), (line(2, (0, 1), through=(2, 0)), 1)])
@@ -233,6 +253,14 @@ def test_pushforward_projection_of_tropical_line():
     assert y.ambient_dim == 1
     assert cycles_equal(y, cycle(1, [(line(1, (1,)), 1)]))
     assert is_balanced(y)[0]
+
+
+def test_pushforward_adds_indices_of_overlapping_images():
+    # (x, y) -> x + 2y sends e1 and e2 onto the positive ray with indices
+    # 1 and 2, and -e1-e2 onto -3 times the negative generator
+    y = pushforward([(1, 2)], tropical_line())
+    assert cycles_equal(y, cycle(1, [(ray(1, (1,)), 3), (ray(1, (-1,)), 3)]))
+    assert y.multiplicities == (3, 3)
 
 
 def test_pushforward_uniform_collapse():

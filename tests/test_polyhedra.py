@@ -16,7 +16,6 @@ from stabletrop.errors import ValidationError
 from stabletrop.lattices import LatticeSubgroup
 from stabletrop.polyhedra import (
     Polyhedron,
-    common_refinement,
     is_polyhedral_complex,
     point_in_sum,
     refine_cells,
@@ -266,21 +265,6 @@ def test_point_in_sum_matches_minkowski(a, b, probe):
     p = Polyhedron.from_vrep(2, [(0, 0), a])
     q = Polyhedron.from_vrep(2, [(0, 0), b])
     assert point_in_sum([p, q], probe) == p.minkowski(q).contains(probe)
-
-
-def test_common_refinement_axes():
-    x_axis = Polyhedron.from_hrep(2, eqs=[((0, 1), 0)])
-    y_axis = Polyhedron.from_hrep(2, eqs=[((1, 0), 0)])
-    got = common_refinement([x_axis], [y_axis])
-    assert got == [Polyhedron.point((0, 0))]
-
-
-def test_common_refinement_maximal_only():
-    quad_x = [Polyhedron.from_hrep(2, [((-1, 0), 0)]), Polyhedron.from_hrep(2, [((1, 0), 0)])]
-    quad_y = [Polyhedron.from_hrep(2, [((0, -1), 0)]), Polyhedron.from_hrep(2, [((0, 1), 0)])]
-    got = common_refinement(quad_x, quad_y)
-    assert len(got) == 4
-    assert all(c.dim == 2 for c in got)
 
 
 def test_refine_cells_overlapping_squares():

@@ -31,7 +31,6 @@ from stabletrop.stable import (
     stable_intersection,
     stable_intersection_report,
     stable_power,
-    stable_support,
 )
 
 
@@ -129,14 +128,10 @@ def test_stable_power():
     sq = stable_power(t, 2)
     assert sq.cells == (origin,) and sq.multiplicities == (1,)
     assert stable_power(t, 3).is_zero
+    # the loop stops at the first zero product
+    assert stable_power(t, 10**12).is_zero
     with pytest.raises(ValidationError):
         stable_power(t, -1)
-
-
-def test_support_of_self_intersection():
-    t = tropical_line()
-    supp = stable_support(t, t)
-    assert supp == [origin]
 
 
 # --------------------------------------------------------- negative weights
