@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "disconnect-demo",
-        help="run the five-dimensional scenario where connectedness is lost (minutes)",
+        help="run the five-dimensional scenario where connectedness is lost",
     )
     p.set_defaults(func=cmd_disconnect_demo)
 

@@ -1,10 +1,11 @@
 """Connectivity of a cycle through codimension one.
 
 Two facets count as adjacent when they meet in dimension one less than
-the cycle. Presentations are refined to honest complexes first (the
-overlay `cycles._honest_refinement`), so that the answer is an invariant
-of the cycle and not of how it was entered; adjacency is then read off
-the ridge index `cycles._ridge_index`.
+the cycle. The cells are those of the per-hull overlay
+`cycles.normalize_weighted`, so that cancelling weights are gone and the
+answer is an invariant of the cycle and not of how it was entered; the
+pieces of one convex cell are connected through codimension one, so no
+finer refinement can change the components.
 
 The showcase scenario builds two three-dimensional cycles in Q^5 as
 stable squares of hypersurfaces. Each is connected through codimension
@@ -17,27 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from stabletrop.cycles import TropicalCycle, _honest_refinement, _ridge_index, cycle, cycle_sum
+from stabletrop.cycles import TropicalCycle, cycle, cycle_sum, normalize_weighted
 from stabletrop.polyhedra import Polyhedron, covered_by
 from stabletrop.polytopes import RationalPolytope, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_intersection, stable_power
 
 
 def facet_graph(x: TropicalCycle):
-    """Honest refinement of x plus the adjacency lists of its facets.
-
-    Over a genuine complex, two facets meet in dimension one less exactly
-    when they share a ridge, so adjacency is read off ridge keys instead
-    of all-pairs intersections.
-    """
-    refined = cycle(x.ambient_dim, _honest_refinement(x))
-    adj = [set() for _ in refined.cells]
-    for _, members in _ridge_index(refined.cells).values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].add(b)
-    return refined, [sorted(s) for s in adj]
+    """Per-hull overlay of x plus the adjacency lists of its facets: two
+    facets are adjacent when they meet in dimension one less."""
+    refined = normalize_weighted(x.ambient_dim, x.weighted_cells())
+    adj = [[] for _ in refined.cells]
+    for i, a in enumerate(refined.cells):
+        for j in range(i + 1, len(refined.cells)):
+            if refined.dim > 0 and a.intersect(refined.cells[j]).dim == refined.dim - 1:
+                adj[i].append(j)
+                adj[j].append(i)
+    return refined, adj
 
 
 def connected_components(x: TropicalCycle):

@@ -3,15 +3,16 @@
 A cycle is stored as a list of cells with rational multiplicities. Cells
 are not required to form an honest complex at construction time. The one
 overlay, `_overlay`, refines weighted cells by `refine_cells` and adds up
-the weights of identical pieces: sums and equality tests apply it per
-affine hull (`normalize_weighted`), balancing, connectivity and the
-engine's fallback to the whole cycle (`_honest_refinement`), and
-`pushforward` to the image cells. The one ridge index, `_ridge_index`,
-maps each ridge of a cell list to the cells having it as a facet; it
-serves `is_balanced`, `connectivity.facet_graph` and
-`algebra.build_hypersurface_basis`. Cycles are identified up to
-refinement: `cycles_equal` tests semantic equality, the dataclass
-equality is representation equality of the canonicalized cell lists.
+their weights, numbers or vectors, on identical pieces. It never sees two
+affine hulls at once except in the engine's refine-and-rerun fallback:
+sums and equality tests overlay each hull on its own
+(`normalize_weighted`), `pushforward` overlays the image cells, and
+`is_balanced` overlays the facets of one hull, weighted by their normal
+vectors. The ridge index `_ridge_index` maps each ridge of a cell list to
+the cells having it as a facet, for `algebra.build_hypersurface_basis`.
+Cycles are identified up to refinement: `cycles_equal` tests semantic
+equality, the dataclass equality is representation equality of the
+canonicalized cell lists.
 """
 
 from __future__ import annotations
@@ -127,23 +128,28 @@ def scalar(c, x: TropicalCycle):
     return TropicalCycle(x.ambient_dim, x.cells, tuple(c * m for m in x.multiplicities))
 
 
+def _add(a, b):
+    """Sum of two weights: numbers, or vectors added entrywise."""
+    return tuple(s + t for s, t in zip(a, b)) if isinstance(a, tuple) else a + b
+
+
 def _overlay(weighted_cells):
     """Weighted cells refined by all their facet hyperplanes, weights of
-    identical pieces added and zero totals dropped; (piece, weight) pairs
-    in order of first appearance."""
+    identical pieces added (`_add`) and zero totals dropped; (piece,
+    weight) pairs in order of first appearance."""
     acc = {}
     for idx, piece in refine_cells([c for c, _ in weighted_cells]):
-        entry = acc.setdefault(piece.key(), [piece, Fraction(0)])
-        entry[1] += weighted_cells[idx][1]
-    return [(p, m) for p, m in acc.values() if m != 0]
+        k, m = piece.key(), weighted_cells[idx][1]
+        acc[k] = (piece, _add(acc[k][1], m) if k in acc else m)
+    return [(p, m) for p, m in acc.values() if (any(m) if isinstance(m, tuple) else m != 0)]
 
 
 def normalize_weighted(ambient_dim, weighted_cells):
     """Canonical overlay of weighted cells sharing an affine hull.
 
-    Each affine hull is overlaid on its own. Cells in different hulls
-    never merge, which is enough for cycle sums; balancing needs the
-    overlay of the whole cycle, `_honest_refinement`.
+    Each affine hull is overlaid on its own, so cells in different hulls
+    are never cut by each other. Sums, equality tests and connectivity
+    need no more: weights cancel only within one hull.
     """
     groups = {}
     for c, m in weighted_cells:
@@ -179,12 +185,6 @@ def cycles_equal(x: TropicalCycle, y: TropicalCycle):
     return cycle_sum(x, scalar(-1, y)).is_zero
 
 
-def _honest_refinement(x: TropicalCycle):
-    """Weighted cells of x refined into a genuine complex by the global
-    arrangement of all facet hyperplanes, overlaps merged."""
-    return _overlay(x.weighted_cells())
-
-
 def _ridge_index(cells):
     """Ridge key -> (ridge, indices of the cells having it as a facet)."""
     ridges = {}
@@ -214,26 +214,24 @@ def _normal_in_quotient(qmat, sigma: Polyhedron, ridge: Polyhedron):
 
 
 def is_balanced(x: TropicalCycle):
-    """Exact balancing test around every ridge of the honest refinement.
+    """Exact balancing test, one affine hull of ridges at a time.
 
-    Returns (flag, failures) where failures lists (ridge, defect) pairs;
-    the defect is the weighted sum of primitive normal vectors expressed
-    in the quotient lattice by the ridge directions, which must vanish.
+    Each facet of a cell carries the cell's weight times its primitive
+    normal in the quotient lattice by the facet directions, and the
+    facets of one hull are overlaid. Refining a cell adds inner ridges
+    whose two normals cancel, so no cell needs refining. Returns (flag,
+    failures): the (ridge, defect) pieces whose sum does not vanish.
     """
-    if x.is_zero or x.dim == 0:
-        return True, []
-    cells = _honest_refinement(x)
+    hulls = {}
+    for c, m in x.weighted_cells():
+        for f in c.facets():
+            qmat = quotient_matrix(f.direction_lattice())
+            normal = _normal_in_quotient(qmat, c, f)
+            hulls.setdefault(f.hrep()[1], []).append((f, tuple(m * a for a in normal)))
     failures = []
-    # in a genuine complex the cells containing a ridge are those having it as a facet
-    for ridge, members in _ridge_index([c for c, _ in cells]).values():
-        qmat = quotient_matrix(ridge.direction_lattice())
-        total = (0,) * len(qmat)
-        for i in members:
-            c, m = cells[i]
-            g = _normal_in_quotient(qmat, c, ridge)
-            total = tuple(s + m * a for s, a in zip(total, g))
-        if not vec_is_zero(total):
-            failures.append((ridge, total))
+    for facets in hulls.values():
+        failures.extend(_overlay(facets))
+    failures.sort(key=lambda fm: fm[0].key())
     return not failures, failures
 
 

@@ -59,9 +59,6 @@ class RationalPolytope:
             [v for v, val in zip(self.vertices, values) if val == best],
         )
 
-    def edges(self):
-        return [f for f in self.polyhedron.all_faces() if f.dim == 1]
-
     def minkowski(self, other: "RationalPolytope") -> "RationalPolytope":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")

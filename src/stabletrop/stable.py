@@ -26,11 +26,12 @@ from fractions import Fraction
 from stabletrop.cycles import (
     GenericVector,
     TropicalCycle,
-    _honest_refinement,
+    _overlay,
     ambient_cycle,
     cartesian_product,
     cycle,
     cycle_sum,
+    normalize_weighted,
     pick_generic_vector,
     scalar,
     zero_cycle,
@@ -139,8 +140,8 @@ def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False)
         ):
             if refined:
                 raise GenericityError("facet witness is ambiguous after refinement")
-            xr = cycle(n, _honest_refinement(x))
-            yr = cycle(n, _honest_refinement(y))
+            xr = cycle(n, _overlay(x.weighted_cells()))
+            yr = cycle(n, _overlay(y.weighted_cells()))
             return _positive_engine(n, xr, yr, sign, refined=True)
         total = Fraction(0)
         rows = []
@@ -214,9 +215,16 @@ def stable_intersection(x: TropicalCycle, y: TropicalCycle) -> TropicalCycle:
 
 def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
     """k-fold stable self-intersection; the empty product is Q^n with
-    weight one."""
+    weight one.
+
+    In codimension zero the product is pointwise, so the power raises the
+    weights of the overlay; they grow with k unless each is 1 or -1.
+    """
     if k < 0:
         raise ValidationError("negative stable power")
+    if k > 0 and x.codim == 0:
+        y = normalize_weighted(x.ambient_dim, x.weighted_cells())
+        return TropicalCycle(y.ambient_dim, y.cells, tuple(m**k for m in y.multiplicities))
     acc = ambient_cycle(x.ambient_dim)
     for _ in range(k):
         acc = stable_intersection(acc, x)

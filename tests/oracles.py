@@ -3,21 +3,29 @@
 Everything here is deliberately naive (LP feasibility on generator
 coordinates, pulling triangulations, inclusion-exclusion over Minkowski
 sums) so that production code paths are checked against a second route
-sharing no geometry code with them beyond exact arithmetic.
+sharing no geometry code with them beyond exact arithmetic. The
+arrangement references for balancing and connectivity are the exception:
+they refine the whole cycle by every facet hyperplane of every cell and
+read both answers off the ridges of that complex, which the library's
+local checks never build.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
+from stabletrop.cycles import _normal_in_quotient, _overlay, _ridge_index, cycle
 from stabletrop.lattices import (
     nullspace_rational,
+    quotient_matrix,
     rank_rows,
     rational_to_primitive,
     rref,
     saturation,
     transpose,
     vec_dot,
+    vec_is_zero,
     vec_sub,
 )
 from stabletrop.linprog import feasible_point
@@ -221,3 +229,63 @@ def mixed_volume_oracle(vertex_sets):
         sign = 1 if (n - len(chosen)) % 2 == 0 else -1
         total += sign * vol
     return total / factorial(n)
+
+
+@lru_cache(maxsize=4)
+def arrangement_refinement(x):
+    """x refined into an honest complex by the global arrangement of all
+    facet hyperplanes of all its cells, overlaps merged."""
+    return cycle(x.ambient_dim, _overlay(x.weighted_cells()))
+
+
+def arrangement_is_balanced(x):
+    """Balancing read off the ridges of the global arrangement: the
+    weighted normals around each ridge of the refinement must cancel.
+    Returns (flag, failures) with (ridge, defect) pairs."""
+    refined = arrangement_refinement(x)
+    failures = []
+    # in a genuine complex the cells containing a ridge are those having it as a facet
+    for ridge, members in _ridge_index(refined.cells).values():
+        qmat = quotient_matrix(ridge.direction_lattice())
+        total = (0,) * len(qmat)
+        for i in members:
+            g = _normal_in_quotient(qmat, refined.cells[i], ridge)
+            total = tuple(s + refined.multiplicities[i] * a for s, a in zip(total, g))
+        if not vec_is_zero(total):
+            failures.append((ridge, total))
+    return not failures, failures
+
+
+def arrangement_facet_graph(x):
+    """The refinement by the global arrangement plus the adjacency lists
+    of its facets: over a genuine complex two facets meet in dimension one
+    less exactly when they share a ridge."""
+    refined = arrangement_refinement(x)
+    adj = [set() for _ in refined.cells]
+    for _, members in _ridge_index(refined.cells).values():
+        for a in members:
+            for b in members:
+                if a != b:
+                    adj[a].add(b)
+    return refined, [sorted(s) for s in adj]
+
+
+def arrangement_components(x):
+    """Components through codimension one of the arrangement's facet graph."""
+    refined, adj = arrangement_facet_graph(x)
+    seen = set()
+    out = []
+    for start in range(len(refined.cells)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            comp.append((refined.cells[i], refined.multiplicities[i]))
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        out.append(cycle(x.ambient_dim, comp))
+    return out

@@ -27,6 +27,7 @@ from stabletrop.connectivity import (
     connected_components,
     disconnection_scenario,
     is_connected_through_codim1,
+    support_contains,
     supports_meet_only_at_origin,
 )
 from stabletrop.cycles import (
@@ -87,15 +88,19 @@ def random_star(rng, max_coord=3, max_points=5):
 
 
 def test_criterion_1_hyperplane_slices_disconnect():
-    # two connected three-dimensional cycles in Q^5 whose slices with the
-    # coordinate-sum hyperplane meet only at the origin, so their sum
-    # cannot be connected through codimension one
+    # two connected three-dimensional cycles in Q^5, both containing the
+    # cone over e1 and e2, whose slices with the coordinate-sum hyperplane
+    # meet only at the origin, so their sum cannot be connected through
+    # codimension one
     sc = disconnection_scenario()
+    shared = Polyhedron.cone_from_rays(5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
     checks = {
         "slice1 balanced": is_balanced(sc.slice1)[0],
         "slice2 balanced": is_balanced(sc.slice2)[0],
         "first square connected": is_connected_through_codim1(sc.t1),
         "second square connected": is_connected_through_codim1(sc.t2),
+        "first square contains cone(e1, e2)": support_contains(sc.t1, shared),
+        "second square contains cone(e1, e2)": support_contains(sc.t2, shared),
         "slices meet only at origin": supports_meet_only_at_origin(sc.slice1, sc.slice2),
     }
     comps = connected_components(sc.union)

@@ -110,6 +110,15 @@ def test_power_command(tmp_path, capsys):
     assert json.loads(out) == {"ambient_dim": 2, "cones": [], "lineality": [], "rays": []}
 
 
+def test_power_command_in_codimension_zero(tmp_path, capsys):
+    # a top-dimensional power raises the weights, so a huge k returns at once
+    for mult in ("1", "-1"):
+        doc = dict(ambient_doc(), cones=[{"rays": [], "mult": mult}])
+        code, out, err = run(capsys, ["power", write(tmp_path, "plane.json", doc), str(10**12)])
+        assert code == 0 and err == ""
+        assert json.loads(out) == ambient_doc()
+
+
 def test_check_balanced_exit_codes(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     code, out, _ = run(capsys, ["check-balanced", t])

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import arrangement_components, arrangement_is_balanced
+
 from stabletrop.connectivity import (
     connected_components,
     facet_graph,
@@ -19,7 +23,7 @@ from stabletrop.cycles import (
     zero_cycle,
 )
 from stabletrop.polyhedra import Polyhedron
-from stabletrop.polytopes import standard_simplex, tropical_hypersurface
+from stabletrop.polytopes import polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_power
 
 
@@ -128,3 +132,85 @@ def test_scenario_polytopes_shape():
     p1, p2 = scenario_polytopes()
     assert p1.dim == 5 and p2.dim == 5
     assert len(p1.vertices) == 6 and len(p2.vertices) == 6
+
+
+def test_overlapping_hypersurfaces_in_3d():
+    # two tetrahedral hypersurfaces, the second translated so that cells of
+    # the two overlap; checking them through the global arrangement of all
+    # facet hyperplanes did not finish in two minutes
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
+    x = cycle(
+        3,
+        tropical_hypersurface(p).weighted_cells()
+        + [(c.translate((1, 1, 0)), m) for c, m in tropical_hypersurface(q).weighted_cells()],
+    )
+    assert len(x.cells) == 12
+    assert is_balanced(x) == (True, [])
+    assert is_connected_through_codim1(x)
+    # balancing is linear in the cells: raising one weight by one fails
+    # exactly on the facets of that cell, with the cell's own normals
+    for c, m in x.weighted_cells():
+        raised = cycle(3, [(d, k + 1 if d is c else k) for d, k in x.weighted_cells()])
+        lone = is_balanced(cycle(3, [(c, 1)]))[1]
+        assert [r for r, _ in lone] == sorted(c.facets(), key=Polyhedron.key)
+        assert is_balanced(raised) == (False, lone)
+
+
+# ------------------------------------- local checks against the arrangement
+
+
+def split(cell, a, b):
+    """The pieces of a cell on the two sides of the line a.x = b."""
+    n = cell.ambient_dim
+    sides = [
+        cell.intersect(Polyhedron.from_hrep(n, [(a, b)])),
+        cell.intersect(Polyhedron.from_hrep(n, [(tuple(-t for t in a), -b)])),
+    ]
+    keep = [p for p in sides if not p.is_empty and p.dim == cell.dim]
+    return keep[:1] if len(keep) == 2 and keep[0] == keep[1] else keep
+
+
+@st.composite
+def q2_presentation(draw):
+    """Overlapping presentation of a cycle in Q^2: a hypersurface (a line
+    when its points are collinear; the plane in dimension two) plus a
+    translated copy of it or of another one, each weighted by -1, 1 or 2
+    with its cells split by a line, then maybe one cell's weight raised."""
+    small = st.integers(min_value=-1, max_value=1)
+    corner = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    dim = draw(st.sampled_from([1, 2]))
+    base = [(Polyhedron.ambient(2), 1)]
+    pairs = []
+    for copy in range(2):
+        if dim == 1 and (copy == 0 or draw(st.booleans())):
+            pts = draw(st.tuples(corner, corner, corner).filter(lambda p: len(set(p)) > 1))
+            base = tropical_hypersurface(polytope(2, pts)).weighted_cells()
+        shift = draw(st.tuples(small, small)) if copy else (0, 0)
+        weight = draw(st.sampled_from([-1, 1, 2]))
+        a = draw(st.tuples(small, small).filter(any))
+        b = draw(small)
+        for c, m in base:
+            pairs += [(p, m * weight) for p in split(c.translate(shift), a, b)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], pairs[i][1] + 1)
+    return cycle(2, pairs)
+
+
+@settings(max_examples=30)
+@given(q2_presentation())
+def test_local_checks_match_the_global_arrangement(x):
+    ok, failures = is_balanced(x)
+    want_ok, want_failures = arrangement_is_balanced(x)
+    assert ok == want_ok
+    # every failing ridge of the arrangement lies in exactly one failing
+    # piece, with the same defect, and no piece fails without one
+    for ridge, defect in want_failures:
+        assert [d for r, d in failures if r.contains_poly(ridge)] == [defect]
+    for r, _ in failures:
+        assert any(r.contains_poly(ridge) for ridge, _ in want_failures)
+    comps = connected_components(x)
+    want = arrangement_components(x)
+    assert len(comps) == len(want)
+    assert all(any(cycles_equal(c, w) for w in want) for c in comps)

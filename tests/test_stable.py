@@ -20,12 +20,14 @@ from stabletrop.cycles import (
     cycle_sum,
     cycles_equal,
     is_balanced,
+    normalize_weighted,
     scalar,
     zero_cycle,
 )
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.stable import (
+    FacetContribution,
     diagonal_intersection,
     perturbation_intersection,
     stable_intersection,
@@ -132,6 +134,59 @@ def test_stable_power():
     assert stable_power(t, 10**12).is_zero
     with pytest.raises(ValidationError):
         stable_power(t, -1)
+
+
+def half_plane(a, b=0):
+    return Polyhedron.from_hrep(2, [(a, b)])
+
+
+def test_stable_power_in_codimension_zero():
+    # the product of top-dimensional cycles is pointwise: weights of the
+    # overlay are raised to the k-th power
+    quadrant = Polyhedron.cone_from_rays(2, [(1, 0), (0, 1)])
+    opposite = Polyhedron.cone_from_rays(2, [(-1, 0), (0, -1)])
+    cases = [
+        ambient_cycle(2, 2),
+        cycle(2, [(quadrant, 3), (opposite, -2)]),
+        cycle(2, [(Polyhedron.ambient(2), 1), (quadrant, 2), (half_plane((1, 1), 1), -1)]),
+        cycle(2, [(half_plane((1, 0)), 1), (half_plane((-1, 0), -1), 2)]),
+    ]
+    for x in cases:
+        acc = ambient_cycle(2)
+        for k in range(4):
+            assert stable_power(x, k) == acc, (x, k)
+            acc = stable_intersection(acc, x)
+    for m in (1, -1):
+        assert stable_power(ambient_cycle(2, m), 10**12) == ambient_cycle(2)
+
+
+def test_engine_refines_and_reruns_on_ambiguous_witness():
+    # the plane z = 0 overlapped by its two halves: the plane cuts out the
+    # whole line x = y, z = 0, which neither half-plane through its witness
+    # point carries, so the engine overlays x into two half-planes of
+    # weight 2 and reruns
+    plane = Polyhedron.from_hrep(3, [], [((0, 0, 1), 0)])
+    x = cycle(
+        3,
+        [
+            (plane, 1),
+            (Polyhedron.from_hrep(3, [((-1, 0, 0), 0)], [((0, 0, 1), 0)]), 1),
+            (Polyhedron.from_hrep(3, [((1, 0, 0), 0)], [((0, 0, 1), 0)]), 1),
+        ],
+    )
+    y = cycle(3, [(Polyhedron.from_hrep(3, [], [((1, -1, 0), 0)]), 1)])
+    rep = stable_intersection_report(x, y)
+    rays = [Polyhedron.cone_from_rays(3, [d]) for d in ((1, 1, 0), (-1, -1, 0))]
+    assert cycles_equal(rep.result, cycle(3, [(r, 2) for r in rays]))
+    assert len(rep.result.cells) == 2 and rep.result.multiplicities == (2, 2)
+    (term,) = rep.terms
+    assert term.contributions == (
+        (FacetContribution(0, 0, Fraction(1), Fraction(2)),),
+        (FacetContribution(1, 0, Fraction(1), Fraction(2)),),
+    )
+    assert cycles_equal(
+        rep.result, stable_intersection(normalize_weighted(3, x.weighted_cells()), y)
+    )
 
 
 # --------------------------------------------------------- negative weights
