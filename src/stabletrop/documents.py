@@ -35,7 +35,7 @@ def loads(text: str) -> dict:
     """Parse JSON text, rejecting floats; returns the raw object."""
     try:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
 
 

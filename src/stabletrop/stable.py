@@ -12,10 +12,10 @@ zero through recession cones; exact for fan cycles) and the diagonal
 route (intersect X x Y with the diagonal subspace of Q^2n and read the
 result back through the first factor).
 
-Cycles with negative weights are handled by the affine-span splitting:
-X = (X + D) - D with D the sum of affine spans of the negative cells,
-which has positive weights on both parts; the intersection distributes
-bilinearly over the split.
+The displacement rule holds for weights of either sign: the weight
+formula is bilinear in the weights of the two inputs, so cycles with
+negative weights go through the same single engine run. The perturbation
+route accepts positive weights only.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from stabletrop.cycles import (
     ambient_cycle,
     cartesian_product,
     cycle,
-    cycle_sum,
     normalize_weighted,
     pick_generic_vector,
-    scalar,
     zero_cycle,
 )
 from stabletrop.errors import DimensionError, GenericityError, ValidationError
@@ -43,6 +41,11 @@ from stabletrop.lattices import (
     sum_lattices,
 )
 from stabletrop.polyhedra import Polyhedron, point_in_sum
+
+
+# Python's default limit on the digits of an int written as text
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class FacetContribution:
 
 @dataclass(frozen=True)
 class IntersectionTerm:
-    """Result of one positive-weight engine run, with provenance."""
+    """Result of one engine run, with provenance; `sign` is always 1."""
 
     sign: int
     result: TropicalCycle
@@ -112,11 +115,12 @@ def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
     return out
 
 
-def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False):
-    """Displacement-definition engine; weights of both inputs must be > 0."""
+def _engine(n, x: TropicalCycle, y: TropicalCycle, refined=False):
+    """Displacement-definition engine."""
+    # a refined operand can vanish: signed presentations of zero cancel
+    if x.is_zero or y.is_zero or x.dim + y.dim < n:
+        return IntersectionTerm(1, zero_cycle(n), None, ())
     k_res = x.dim + y.dim - n
-    if k_res < 0:
-        return IntersectionTerm(sign, zero_cycle(n), None, ())
     gen = displacement_vector(x, y)
     v = gen.vector
     pairs = _spanning_pairs(x, y)
@@ -142,7 +146,7 @@ def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False)
                 raise GenericityError("facet witness is ambiguous after refinement")
             xr = cycle(n, _overlay(x.weighted_cells()))
             yr = cycle(n, _overlay(y.weighted_cells()))
-            return _positive_engine(n, xr, yr, sign, refined=True)
+            return _engine(n, xr, yr, refined=True)
         total = Fraction(0)
         rows = []
         for i, j in pairs:
@@ -163,50 +167,17 @@ def _positive_engine(n, x: TropicalCycle, y: TropicalCycle, sign, refined=False)
             weighted.append((w, total))
             contribs[key] = tuple(rows)
     result = cycle(n, weighted)
-    return IntersectionTerm(sign, result, gen, tuple(contribs[c.key()] for c in result.cells))
-
-
-def _affine_span_cycle(x: TropicalCycle):
-    """Splitting of x into (positive part, subtracted part), both with
-    positive weights: the subtracted part stacks the affine spans of the
-    negatively weighted cells."""
-    n = x.ambient_dim
-    neg = []
-    for c, m in x.weighted_cells():
-        if m < 0:
-            hull = Polyhedron.from_hrep(
-                n, [], [(row[:n], row[n]) for row in c.eq_rows], known_nonempty=True
-            )
-            neg.append((hull, -m))
-    if not neg:
-        return x, zero_cycle(n)
-    d = cycle(n, neg)
-    plus = cycle_sum(x, d)
-    return plus, d
+    return IntersectionTerm(1, result, gen, tuple(contribs[c.key()] for c in result.cells))
 
 
 def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> IntersectionReport:
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
-    if x.is_zero or y.is_zero:
+    if x.is_zero or y.is_zero or x.dim + y.dim < n:
         return IntersectionReport(zero_cycle(n), ())
-    if x.dim + y.dim < n:
-        return IntersectionReport(zero_cycle(n), ())
-    x_plus, x_minus = _affine_span_cycle(x)
-    y_plus, y_minus = _affine_span_cycle(y)
-    terms = []
-    for xs, s1 in ((x_plus, 1), (x_minus, -1)):
-        if xs.is_zero:
-            continue
-        for ys, s2 in ((y_plus, 1), (y_minus, -1)):
-            if ys.is_zero:
-                continue
-            terms.append(_positive_engine(n, xs, ys, s1 * s2))
-    total = zero_cycle(n)
-    for t in terms:
-        total = cycle_sum(total, scalar(t.sign, t.result))
-    return IntersectionReport(total, tuple(terms))
+    term = _engine(n, x, y)
+    return IntersectionReport(normalize_weighted(n, term.result.weighted_cells()), (term,))
 
 
 def stable_intersection(x: TropicalCycle, y: TropicalCycle) -> TropicalCycle:
@@ -218,12 +189,21 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
     weight one.
 
     In codimension zero the product is pointwise, so the power raises the
-    weights of the overlay; they grow with k unless each is 1 or -1.
+    weights of the overlay; they grow with k unless each is 1 or -1, and
+    a weight with more than _MAX_DIGITS digits, too long to write out, is
+    refused.
     """
     if k < 0:
         raise ValidationError("negative stable power")
     if k > 0 and x.codim == 0:
         y = normalize_weighted(x.ambient_dim, x.weighted_cells())
+        for m in y.multiplicities:
+            for part in (abs(m.numerator), m.denominator):
+                # part**k >= 2**((bits - 1) * k); only small powers get computed
+                if (part.bit_length() - 1) * k >= _TOO_LONG.bit_length() or part**k >= _TOO_LONG:
+                    raise ValidationError(
+                        f"weight {m} to the power {k} has more than {_MAX_DIGITS} digits"
+                    )
         return TropicalCycle(y.ambient_dim, y.cells, tuple(m**k for m in y.multiplicities))
     acc = ambient_cycle(x.ambient_dim)
     for _ in range(k):

@@ -117,6 +117,15 @@ def test_power_command_in_codimension_zero(tmp_path, capsys):
         code, out, err = run(capsys, ["power", write(tmp_path, "plane.json", doc), str(10**12)])
         assert code == 0 and err == ""
         assert json.loads(out) == ambient_doc()
+    # 2^14284 has 4300 digits and is written; longer weights are refused
+    doc = dict(ambient_doc(), cones=[{"rays": [], "mult": "2"}])
+    doubled = write(tmp_path, "doubled.json", doc)
+    code, out, err = run(capsys, ["power", doubled, "14284"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["cones"][0]["mult"]) == 4300
+    for k in (14285, 20000, 10**12):
+        code, out, err = run(capsys, ["power", doubled, str(k)])
+        assert code == 3 and out == "" and json.loads(err)["error"] == "validation"
 
 
 def test_check_balanced_exit_codes(tmp_path, capsys):
@@ -138,6 +147,15 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     floaty.write_text('{"ambient_dim": 2.0}', encoding="utf-8")
     assert run(capsys, ["check-balanced", str(floaty)])[0] == 2
     assert run(capsys, ["check-balanced", str(tmp_path / "missing.json")])[0] == 2
+    # an integer too long for Python to convert is malformed, not a crash
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"ambient_dim": 2, "rays": [], "lineality": [[1%s, 0]], '
+        '"cones": [{"rays": [], "mult": "1"}]}' % ("0" * 4999),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["check-balanced", str(huge)])
+    assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
 
 
 def test_dimension_mismatch_exits_4(tmp_path, capsys):

@@ -11,9 +11,10 @@ facts reduce to 2x2 lattice indices.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stabletrop import stable
 from stabletrop.cycles import (
     ambient_cycle,
     cycle,
@@ -26,6 +27,7 @@ from stabletrop.cycles import (
 )
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
+from stabletrop.polytopes import polytope, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
     diagonal_intersection,
@@ -209,13 +211,85 @@ def test_mixed_sign_cancellation():
     assert stable_intersection(x, t).is_zero
 
 
-def test_mixed_sign_report_has_signed_terms():
+def test_mixed_sign_report_has_one_term():
     t = tropical_line()
     x = cycle_sum(t, scalar(-1, line((1, 0))))
     rep = stable_intersection_report(x, line((0, 1)))
-    signs = sorted(term.sign for term in rep.terms)
-    assert signs == [-1, 1]
+    (term,) = rep.terms
+    assert term.sign == 1
     assert rep.result.is_zero
+    # the plane z = 0 minus its two halves: the witness of the line x = y
+    # is ambiguous, and the refined operand cancels to the zero cycle
+    plane = Polyhedron.from_hrep(3, [], [((0, 0, 1), 0)])
+    halves = [Polyhedron.from_hrep(3, [(s, 0)], [((0, 0, 1), 0)]) for s in ((-1, 0, 0), (1, 0, 0))]
+    x = cycle(3, [(plane, 1)] + [(h, -1) for h in halves])
+    y = cycle(3, [(Polyhedron.from_hrep(3, [], [((1, -1, 0), 0)]), 1)])
+    rep = stable_intersection_report(x, y)
+    (term,) = rep.terms
+    assert rep.result.is_zero and term.result.is_zero
+
+
+q2_points = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    min_size=3,
+    max_size=4,
+)
+
+
+@st.composite
+def q2_hypersurfaces(draw):
+    p = polytope(2, draw(q2_points))
+    assume(p.dim == 2)
+    h = tropical_hypersurface(p)
+    unit = st.integers(min_value=-1, max_value=1)
+    shift = draw(st.tuples(unit, unit))
+    return cycle(2, [(c.translate(shift), m) for c, m in h.weighted_cells()])
+
+
+@given(
+    q2_hypersurfaces(),
+    q2_hypersurfaces(),
+    q2_hypersurfaces(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=20)
+def test_signed_operand_distributes(a_hyp, b_hyp, y, a, b):
+    # (a A - b B) . y = a (A . y) - b (B . y), the right side from
+    # products of positively weighted cycles only
+    x = cycle_sum(scalar(a, a_hyp), scalar(-b, b_hyp))
+    expected = cycle_sum(
+        scalar(a, stable_intersection(a_hyp, y)), scalar(-b, stable_intersection(b_hyp, y))
+    )
+    assert cycles_equal(stable_intersection(x, y), expected)
+
+
+def test_signed_q3_pair_runs_the_engine_once(monkeypatch):
+    # 2A - 2B for two crossing tetrahedral fans against a translated third
+    # one; the planes of the negative cells of x cross the other cells, so
+    # an operand padded with them would need the whole-cycle refine-and-rerun
+    def hyp(pts, shift=(0, 0, 0)):
+        h = tropical_hypersurface(polytope(3, pts))
+        return cycle(3, [(c.translate(shift), m) for c, m in h.weighted_cells()])
+
+    a_hyp = hyp([(0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 0, 0)])
+    b_hyp = hyp([(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
+    y = hyp([(1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 1)], (-1, 0, 0))
+    x = cycle_sum(scalar(2, a_hyp), scalar(-2, b_hyp))
+    runs = []
+    engine = stable._engine
+
+    def spy(n, x, y, refined=False):
+        runs.append(refined)
+        return engine(n, x, y, refined=refined)
+
+    monkeypatch.setattr(stable, "_engine", spy)
+    z = stable_intersection(x, y)
+    assert runs == [False]
+    expected = cycle_sum(
+        scalar(2, stable_intersection(a_hyp, y)), scalar(-2, stable_intersection(b_hyp, y))
+    )
+    assert len(z.cells) == 10 and cycles_equal(z, expected)
 
 
 # ------------------------------------------------------------- cross routes
