@@ -78,10 +78,8 @@ def cmd_check_balanced(args):
 
 
 def _generic_to_json(gen):
-    if gen is None:
-        return None
     return {
-        "vector": [str(a) for a in gen.vector],
+        "vector": [documents.number_text(a) for a in gen.vector],
         "prime": gen.prime,
         "spans_avoided": gen.spans_avoided,
     }
@@ -96,14 +94,14 @@ def _explain_to_json(report):
         ):
             facets.append(
                 {
-                    "witness_point": [str(a) for a in cell.interior_point()],
-                    "multiplicity": str(mult),
+                    "witness_point": [documents.number_text(a) for a in cell.interior_point()],
+                    "multiplicity": documents.number_text(mult),
                     "pairs": [
                         {
                             "x_cell": c.x_cell,
                             "y_cell": c.y_cell,
-                            "index": str(c.index),
-                            "term": str(c.term),
+                            "index": documents.number_text(c.index),
+                            "term": documents.number_text(c.term),
                         }
                         for c in contribs
                     ],
@@ -153,12 +151,12 @@ def cmd_power(args):
 
 def cmd_volume(args):
     p = _load_polytope(args.polytope)
-    return str(normalized_volume(p)) + "\n", 0
+    return documents.number_text(normalized_volume(p)) + "\n", 0
 
 
 def cmd_mixed_volume(args):
     polys = [_load_polytope(path) for path in args.polytopes]
-    return str(mixed_volume(polys)) + "\n", 0
+    return documents.number_text(mixed_volume(polys)) + "\n", 0
 
 
 def cmd_pushforward(args):
@@ -195,10 +193,10 @@ def cmd_decompose(args):
         powers = [0] * m
         for idx in combo:
             powers[idx] += 1
-        terms.append({"powers": powers, "coefficient": str(coeff)})
+        terms.append({"powers": powers, "coefficient": documents.number_text(coeff)})
     report = {
         "basis_size": m,
-        "basis_weights": [[str(a) for a in vec] for vec in basis.vectors],
+        "basis_weights": [[documents.number_text(a) for a in vec] for vec in basis.vectors],
         "degree": z.ambient_dim - z.dim if not z.is_zero else None,
         "terms": terms,
     }

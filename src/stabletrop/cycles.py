@@ -3,16 +3,15 @@
 A cycle is stored as a list of cells with rational multiplicities. Cells
 are not required to form an honest complex at construction time. The one
 overlay, `_overlay`, refines weighted cells by `refine_cells` and adds up
-their weights, numbers or vectors, on identical pieces. It never sees two
-affine hulls at once except in the engine's refine-and-rerun fallback:
-sums and equality tests overlay each hull on its own
-(`normalize_weighted`), `pushforward` overlays the image cells, and
-`is_balanced` overlays the facets of one hull, weighted by their normal
-vectors. The ridge index `_ridge_index` maps each ridge of a cell list to
-the cells having it as a facet, for `algebra.build_hypersurface_basis`.
-Cycles are identified up to refinement: `cycles_equal` tests semantic
-equality, the dataclass equality is representation equality of the
-canonicalized cell lists.
+their weights, numbers or vectors, on identical pieces. Sums, equality
+tests and the stable intersection engine overlay each affine hull on its
+own (`normalize_weighted`), `is_balanced` overlays the facets of one
+hull, weighted by their normal vectors, and only `pushforward` overlays
+cells of several hulls at once, its image cells. The ridge index
+`_ridge_index` maps each ridge of a cell list to the cells having it as a
+facet, for `algebra.build_hypersurface_basis`. Cycles are identified up
+to refinement: `cycles_equal` tests semantic equality, the dataclass
+equality is representation equality of the canonicalized cell lists.
 """
 
 from __future__ import annotations
@@ -251,19 +250,6 @@ def link_cycle(x: TropicalCycle, w):
         if c.contains(w):
             pairs.append((c.link_at(w), m))
     return cycle(x.ambient_dim, pairs)
-
-
-def quotient_by_lineality(x: TropicalCycle, sub: LatticeSubgroup):
-    """Image of x in the quotient of the ambient lattice by a saturated
-    sublattice contained in every cell's lineality."""
-    if x.is_zero:
-        return zero_cycle(x.ambient_dim - sub.rank)
-    qmat = quotient_matrix(sub)
-    for c in x.cells:
-        if not sub.is_subgroup_of(c.lineality_lattice()):
-            raise ValidationError("sublattice is not in the lineality of every cell")
-    pairs = [(c.image(qmat), m) for c, m in x.weighted_cells()]
-    return cycle(x.ambient_dim - sub.rank, pairs)
 
 
 def cartesian_product(x: TropicalCycle, y: TropicalCycle):

@@ -21,6 +21,7 @@ from stabletrop.errors import ParseError, ValidationError
 from stabletrop.lattices import rank_rows, rational_to_primitive
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import RationalPolytope, polytope
+from stabletrop.stable import MAX_DIGITS, TOO_LONG
 
 CYCLE_KEYS = {"ambient_dim", "rays", "lineality", "cones"}
 POLYTOPE_KEYS = {"ambient_dim", "vertices"}
@@ -42,6 +43,20 @@ def loads(text: str) -> dict:
 def dumps(doc) -> str:
     """Canonical text form: sorted keys, two-space indent, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _writable(a):
+    """a itself; a numerator or denominator of more than MAX_DIGITS digits
+    cannot be written as text and is refused."""
+    q = Fraction(a)
+    if abs(q.numerator) >= TOO_LONG or q.denominator >= TOO_LONG:
+        raise ValidationError(f"a number of more than {MAX_DIGITS} digits cannot be written")
+    return a
+
+
+def number_text(a) -> str:
+    """Exact text of a rational, "p/q" or "p" (refused if not `_writable`)."""
+    return str(Fraction(_writable(a)))
 
 
 def _expect(cond: bool, message: str):
@@ -157,14 +172,14 @@ def cycle_to_document(x: TropicalCycle) -> dict:
     position = {r: i for i, r in enumerate(all_rays)}
     cones = sorted(
         (
-            ([position[r] for r in gens], str(Fraction(m)))
+            ([position[r] for r in gens], number_text(m))
             for gens, m in zip(cone_rays, x.multiplicities)
         ),
     )
     return {
         "ambient_dim": n,
-        "rays": [list(r) for r in all_rays],
-        "lineality": [list(g) for g in common.generators],
+        "rays": [[_writable(a) for a in r] for r in all_rays],
+        "lineality": [[_writable(a) for a in g] for g in common.generators],
         "cones": [{"rays": idx, "mult": m} for idx, m in cones],
     }
 
@@ -187,7 +202,7 @@ def document_to_polytope(doc) -> RationalPolytope:
 def polytope_to_document(p: RationalPolytope) -> dict:
     return {
         "ambient_dim": p.ambient_dim,
-        "vertices": [[str(a) for a in v] for v in sorted(p.vertices)],
+        "vertices": [[number_text(a) for a in v] for v in sorted(p.vertices)],
     }
 
 

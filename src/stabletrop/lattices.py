@@ -371,14 +371,6 @@ class LatticeSubgroup:
             return False
         return solve_integer(self.basis_columns(), v) is not None
 
-    def spans_vector(self, v) -> bool:
-        """Whether v lies in the rational span of the subgroup."""
-        if vec_is_zero(v):
-            return True
-        if not self.generators:
-            return False
-        return rank_rows(list(self.generators) + [tuple(v)]) == self.rank
-
     def is_subgroup_of(self, other: "LatticeSubgroup") -> bool:
         return all(other.contains_vector(g) for g in self.generators)
 

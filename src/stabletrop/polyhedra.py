@@ -489,18 +489,6 @@ class Polyhedron:
         pts = [tuple(a + b for a, b in zip(p, q)) for p in p1 for q in p2]
         return Polyhedron.from_vrep(self.ambient_dim, pts, tuple(r1) + tuple(r2), tuple(l1) + tuple(l2))
 
-    def reflect(self):
-        """The pointwise negation -P."""
-        if self.is_empty:
-            return self
-        pts, rays, lin = self.vrep()
-        return Polyhedron.from_vrep(
-            self.ambient_dim,
-            [tuple(-a for a in p) for p in pts],
-            [tuple(-a for a in r) for r in rays],
-            lin,
-        )
-
     def image(self, matrix):
         """Image under the linear map given by rational matrix rows."""
         m = len(matrix)

@@ -48,17 +48,6 @@ class RationalPolytope:
     def dim(self) -> int:
         return self.polyhedron.dim
 
-    def support_face(self, w) -> "RationalPolytope":
-        """Face on which the functional w attains its minimum."""
-        if len(w) != self.ambient_dim:
-            raise DimensionError("functional has wrong length")
-        values = [sum(Fraction(a) * x for a, x in zip(w, v)) for v in self.vertices]
-        best = min(values)
-        return polytope(
-            self.ambient_dim,
-            [v for v, val in zip(self.vertices, values) if val == best],
-        )
-
     def minkowski(self, other: "RationalPolytope") -> "RationalPolytope":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimensions differ")

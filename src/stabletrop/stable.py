@@ -1,10 +1,12 @@
 """Stable intersection of tropical cycles.
 
-The primary engine evaluates the displacement definition directly: the
-facets of X.Y are the expected-dimension intersections of cells whose
-direction spans fill the ambient space, and the weight at a facet sums
-m_sigma * m_tau * [Z^n : N_sigma + N_tau] over the cell pairs around it
-whose links are met by a certified generic displacement vector.
+The primary engine evaluates the displacement definition directly, one
+cell pair at a time (the fan displacement rule): a pair whose direction
+spans fill the ambient space, whose intersection has the expected
+dimension, and whose links are met by a certified generic displacement
+vector adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that
+intersection. The terms are then overlaid one affine hull at a time
+(`normalize_weighted`), so the overlay never sees two hulls at once.
 
 Two independent routes exist for cross-validation: an explicit
 perturbation (intersect X with Y shifted by eps * v, then let eps go to
@@ -26,7 +28,6 @@ from fractions import Fraction
 from stabletrop.cycles import (
     GenericVector,
     TropicalCycle,
-    _overlay,
     ambient_cycle,
     cartesian_product,
     cycle,
@@ -44,13 +45,14 @@ from stabletrop.polyhedra import Polyhedron, point_in_sum
 
 
 # Python's default limit on the digits of an int written as text
-_MAX_DIGITS = 4300
-_TOO_LONG = 10**_MAX_DIGITS
+MAX_DIGITS = 4300
+TOO_LONG = 10**MAX_DIGITS
 
 
 @dataclass(frozen=True)
 class FacetContribution:
-    """One cell pair's term in the weight of a result facet."""
+    """One cell pair's term, carried by the pair's intersection, a cell of
+    the run's cycle; indices point into the input cells."""
 
     x_cell: int
     y_cell: int
@@ -64,7 +66,7 @@ class IntersectionTerm:
 
     sign: int
     result: TropicalCycle
-    generic: GenericVector | None
+    generic: GenericVector
     contributions: tuple  # tuple of tuples of FacetContribution, parallel to result.cells
 
 
@@ -115,69 +117,39 @@ def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
     return out
 
 
-def _engine(n, x: TropicalCycle, y: TropicalCycle, refined=False):
-    """Displacement-definition engine."""
-    # a refined operand can vanish: signed presentations of zero cancel
-    if x.is_zero or y.is_zero or x.dim + y.dim < n:
-        return IntersectionTerm(1, zero_cycle(n), None, ())
-    k_res = x.dim + y.dim - n
-    gen = displacement_vector(x, y)
-    v = gen.vector
-    pairs = _spanning_pairs(x, y)
-    facets = {}
-    for i, j in pairs:
-        w = x.cells[i].intersect(y.cells[j])
-        if not w.is_empty and w.dim == k_res:
-            facets.setdefault(w.key(), w)
-    weighted = []
-    contribs = {}
-    amb = standard_lattice(n)
-    for key, w in facets.items():
-        gamma = w.interior_point()
-        xin = {i for i, c in enumerate(x.cells) if c.contains(gamma)}
-        yin = {j for j, c in enumerate(y.cells) if c.contains(gamma)}
-        # the weight formula reads off cells through the witness point, which
-        # is only unambiguous when each such cell carries the whole facet;
-        # over non-complex presentations that can fail, so refine and rerun
-        if any(not x.cells[i].contains_poly(w) for i in xin) or any(
-            not y.cells[j].contains_poly(w) for j in yin
-        ):
-            if refined:
-                raise GenericityError("facet witness is ambiguous after refinement")
-            xr = cycle(n, _overlay(x.weighted_cells()))
-            yr = cycle(n, _overlay(y.weighted_cells()))
-            return _engine(n, xr, yr, refined=True)
-        total = Fraction(0)
-        rows = []
-        for i, j in pairs:
-            if i not in xin or j not in yin:
-                continue
-            sx, sy = x.cells[i], y.cells[j]
-            cone_x = sx.link_at(gamma)
-            cone_y = sy.link_at(gamma)
-            if not point_in_sum([cone_x, cone_y], v, signs=[1, -1]):
-                continue
-            idx = lattice_index(
-                amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice())
-            )
-            term = x.multiplicities[i] * y.multiplicities[j] * idx
-            total += term
-            rows.append(FacetContribution(i, j, idx, term))
-        if total != 0:
-            weighted.append((w, total))
-            contribs[key] = tuple(rows)
-    result = cycle(n, weighted)
-    return IntersectionTerm(1, result, gen, tuple(contribs[c.key()] for c in result.cells))
-
-
 def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> IntersectionReport:
+    """Displacement-definition engine with its audit trail.
+
+    Each spanning cell pair whose intersection has the expected dimension
+    adds its term on that intersection when the displaced links meet; the
+    relative interior of the intersection lies in the relative interior
+    of one face of each cell, so testing one interior point decides it.
+    Terms overlapping within one affine hull add up in the result."""
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
     if x.is_zero or y.is_zero or x.dim + y.dim < n:
         return IntersectionReport(zero_cycle(n), ())
-    term = _engine(n, x, y)
-    return IntersectionReport(normalize_weighted(n, term.result.weighted_cells()), (term,))
+    k_res = x.dim + y.dim - n
+    gen = displacement_vector(x, y)
+    amb = standard_lattice(n)
+    weighted = []
+    contribs = {}
+    for i, j in _spanning_pairs(x, y):
+        sx, sy = x.cells[i], y.cells[j]
+        w = sx.intersect(sy)
+        if w.is_empty or w.dim != k_res:
+            continue
+        gamma = w.interior_point()
+        if not point_in_sum([sx.link_at(gamma), sy.link_at(gamma)], gen.vector, signs=[1, -1]):
+            continue
+        idx = lattice_index(amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice()))
+        term = x.multiplicities[i] * y.multiplicities[j] * idx
+        weighted.append((w, term))
+        contribs.setdefault(w.key(), []).append(FacetContribution(i, j, idx, term))
+    z = cycle(n, weighted)
+    term = IntersectionTerm(1, z, gen, tuple(tuple(contribs[c.key()]) for c in z.cells))
+    return IntersectionReport(normalize_weighted(n, z.weighted_cells()), (term,))
 
 
 def stable_intersection(x: TropicalCycle, y: TropicalCycle) -> TropicalCycle:
@@ -190,7 +162,7 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
 
     In codimension zero the product is pointwise, so the power raises the
     weights of the overlay; they grow with k unless each is 1 or -1, and
-    a weight with more than _MAX_DIGITS digits, too long to write out, is
+    a weight with more than MAX_DIGITS digits, too long to write out, is
     refused.
     """
     if k < 0:
@@ -200,9 +172,9 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
         for m in y.multiplicities:
             for part in (abs(m.numerator), m.denominator):
                 # part**k >= 2**((bits - 1) * k); only small powers get computed
-                if (part.bit_length() - 1) * k >= _TOO_LONG.bit_length() or part**k >= _TOO_LONG:
+                if (part.bit_length() - 1) * k >= TOO_LONG.bit_length() or part**k >= TOO_LONG:
                     raise ValidationError(
-                        f"weight {m} to the power {k} has more than {_MAX_DIGITS} digits"
+                        f"weight {m} to the power {k} has more than {MAX_DIGITS} digits"
                     )
         return TropicalCycle(y.ambient_dim, y.cells, tuple(m**k for m in y.multiplicities))
     acc = ambient_cycle(x.ambient_dim)

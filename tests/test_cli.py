@@ -128,6 +128,37 @@ def test_power_command_in_codimension_zero(tmp_path, capsys):
         assert code == 3 and out == "" and json.loads(err)["error"] == "validation"
 
 
+def test_results_too_long_to_write_exit_3(tmp_path, capsys):
+    # each line weighs 10^3000, so their crossing point weighs 10^6000
+    def line(direction, mult):
+        rays = sorted([list(direction), [-a for a in direction]])
+        cones = [{"rays": [0, 1], "mult": mult}]
+        return {"ambient_dim": 2, "rays": rays, "lineality": [], "cones": cones}
+
+    big = 10**3000
+    x = write(tmp_path, "x.json", line((1, 0), str(big)))
+    y = write(tmp_path, "y.json", line((0, 1), str(big)))
+    for extra in ([], ["--explain"]):
+        code, out, err = run(capsys, ["stable-intersect", x, y] + extra)
+        assert code == 3 and out == "" and json.loads(err)["error"] == "validation"
+    # two planes of Q^3 whose lineality vectors have 3001 digits meet in a
+    # line whose primitive direction has 6001
+    planes = []
+    for i, lin in enumerate([[[1, 0, 0], [0, 1, big + 1]], [[0, 1, 0], [1, 0, big]]]):
+        doc = {"ambient_dim": 3, "rays": [], "lineality": lin}
+        doc["cones"] = [{"rays": [], "mult": "1"}]
+        planes.append(write(tmp_path, f"plane{i}.json", doc))
+    code, out, err = run(capsys, ["stable-intersect"] + planes)
+    assert code == 3 and out == "" and json.loads(err)["error"] == "validation"
+    # two weights of 4300 digits are written, their sum of 4301 is not
+    longest = write(tmp_path, "longest.json", line((1, 0), "9" * 4300))
+    code, out, err = run(capsys, ["cycle-sum", longest, longest])
+    assert code == 3 and out == "" and json.loads(err)["error"] == "validation"
+    other = write(tmp_path, "other.json", line((0, 1), "1"))
+    code, out, err = run(capsys, ["cycle-sum", longest, other])
+    assert code == 0 and err == ""
+
+
 def test_check_balanced_exit_codes(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     code, out, _ = run(capsys, ["check-balanced", t])

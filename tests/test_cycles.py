@@ -1,4 +1,4 @@
-"""Cycle layer: balancing, refinement invariance, links, quotients,
+"""Cycle layer: balancing, refinement invariance, links,
 pushforward, generic displacement vectors."""
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from stabletrop.cycles import (
     link_cycle,
     pick_generic_vector,
     pushforward,
-    quotient_by_lineality,
     scalar,
     zero_cycle,
 )
@@ -213,22 +212,6 @@ def test_link_at_apex():
 
 def test_link_away_from_support():
     assert link_cycle(tropical_line(), (5, 7)).is_zero
-
-
-def test_quotient_plane_by_diagonal():
-    plane = Polyhedron.from_hrep(3, eqs=[((1, -1, 0), 0)])
-    x = cycle(3, [(plane, 1)])
-    diag = saturation(3, [(1, 1, 1)])
-    q = quotient_by_lineality(x, diag)
-    assert q.ambient_dim == 2 and q.dim == 1
-    assert len(q.cells) == 1 and q.multiplicities == (1,)
-    assert is_balanced(q)[0]
-
-
-def test_quotient_requires_lineality():
-    x = cycle(2, [(line(2, (1, 0)), 1)])
-    with pytest.raises(ValidationError):
-        quotient_by_lineality(x, saturation(2, [(0, 1)]))
 
 
 def test_cartesian_product_of_lines():

@@ -187,7 +187,7 @@ def test_recession_and_reflect():
     p = Polyhedron.from_vrep(2, [(1, 0)], rays=[(1, 1)])
     rec = p.recession()
     assert rec.is_cone and rec.vrep()[1] == ((1, 1),)
-    rp = p.reflect()
+    rp = p.image([(-1, 0), (0, -1)])
     assert rp.contains((-1, 0)) and rp.contains((-2, -1))
 
 

@@ -57,14 +57,6 @@ def test_from_polyhedron_rejects_unbounded():
         from_polyhedron(Polyhedron.from_vrep(2, [(0, 0)], rays=[(1, 0)]))
 
 
-def test_support_face():
-    sq = cube(2)
-    apex = sq.support_face((1, 1))
-    assert apex.vertices == ((0, 0),)
-    top = sq.support_face((0, -1))  # minimizing -y picks the top edge
-    assert top.vertices == ((0, 1), (1, 1))
-
-
 def test_lattice_length():
     seg = Polyhedron.from_vrep(2, [(0, 0), (2, 4)])
     assert lattice_length(seg) == 2

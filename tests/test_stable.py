@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabletrop import stable
 from stabletrop.cycles import (
     ambient_cycle,
     cycle,
@@ -162,11 +161,11 @@ def test_stable_power_in_codimension_zero():
         assert stable_power(ambient_cycle(2, m), 10**12) == ambient_cycle(2)
 
 
-def test_engine_refines_and_reruns_on_ambiguous_witness():
-    # the plane z = 0 overlapped by its two halves: the plane cuts out the
-    # whole line x = y, z = 0, which neither half-plane through its witness
-    # point carries, so the engine overlays x into two half-planes of
-    # weight 2 and reruns
+def test_overlapping_presentation_weighs_each_pair_on_its_intersection():
+    # the plane z = 0 overlapped by its two halves, against x = y: the
+    # plane adds weight 1 on the whole line x = y, z = 0 and each half
+    # adds weight 1 on its own ray, so the term holds three overlapping
+    # cells of one hull with contributions indexed by the parsed cells
     plane = Polyhedron.from_hrep(3, [], [((0, 0, 1), 0)])
     x = cycle(
         3,
@@ -182,13 +181,51 @@ def test_engine_refines_and_reruns_on_ambiguous_witness():
     assert cycles_equal(rep.result, cycle(3, [(r, 2) for r in rays]))
     assert len(rep.result.cells) == 2 and rep.result.multiplicities == (2, 2)
     (term,) = rep.terms
-    assert term.contributions == (
-        (FacetContribution(0, 0, Fraction(1), Fraction(2)),),
-        (FacetContribution(1, 0, Fraction(1), Fraction(2)),),
+    diagonal = Polyhedron.from_vrep(3, [(0, 0, 0)], lin=[(1, 1, 0)])
+    assert term.result == cycle(3, [(diagonal, 1)] + [(r, 1) for r in rays])
+    assert term.contributions == tuple(
+        (FacetContribution(i, 0, Fraction(1), Fraction(1)),) for i in range(3)
     )
     assert cycles_equal(
         rep.result, stable_intersection(normalize_weighted(3, x.weighted_cells()), y)
     )
+
+
+def test_nested_contribution_counts_once():
+    # y is the plane x = 0 plus the half-plane {x = 0, y >= 1} minus its two
+    # halves z >= 0 and z <= 0, a presentation of the plane; against z = 0
+    # the plane's pair lies on the whole y-axis, and the half-plane terms
+    # cancel on the ray {x = z = 0, y >= 1}
+    x = cycle(3, [(Polyhedron.from_hrep(3, [], [((0, 0, 1), 0)]), 1)])
+    plane = Polyhedron.from_hrep(3, [], [((1, 0, 0), 0)])
+    half = Polyhedron.from_hrep(3, [((0, -1, 0), -1)], [((1, 0, 0), 0)])
+    quarters = [
+        Polyhedron.from_hrep(3, [((0, -1, 0), -1), (s, 0)], [((1, 0, 0), 0)])
+        for s in ((0, 0, 1), (0, 0, -1))
+    ]
+    y = cycle(3, [(plane, 1), (half, 1)] + [(q, -1) for q in quarters])
+    assert is_balanced(y)[0]
+    y_axis = Polyhedron.from_vrep(3, [(0, 0, 0)], lin=[(0, 1, 0)])
+    assert stable_intersection(x, y) == cycle(3, [(y_axis, 1)])
+
+
+def test_overlapping_q3_presentations_match_the_bilinear_sum():
+    # each operand joins the hypersurfaces of two lattice polytopes in
+    # {0..3}^3, the second translated, into one overlapping presentation;
+    # the product is the sum of the four single-hypersurface products
+    def hyp(pts, shift=(0, 0, 0)):
+        h = tropical_hypersurface(polytope(3, pts))
+        return cycle(3, [(c.translate(shift), m) for c, m in h.weighted_cells()])
+
+    xa = hyp([(2, 2, 1), (0, 0, 2), (2, 2, 2), (3, 1, 1), (1, 3, 0)])
+    xb = hyp([(3, 3, 0), (3, 2, 0), (3, 2, 1), (2, 1, 1)], (-1, 0, 0))
+    ya = hyp([(0, 1, 3), (1, 2, 0), (1, 0, 3), (1, 2, 3)])
+    yb = hyp([(2, 3, 3), (2, 0, 2), (1, 2, 1), (3, 2, 0)], (1, -1, -1))
+    x = cycle(3, xa.weighted_cells() + xb.weighted_cells())
+    y = cycle(3, ya.weighted_cells() + yb.weighted_cells())
+    products = [stable_intersection(a, b) for a in (xa, xb) for b in (ya, yb)]
+    expected = cycle(3, [cm for z in products for cm in z.weighted_cells()])
+    assert cycles_equal(stable_intersection(x, y), expected)
 
 
 # --------------------------------------------------------- negative weights
@@ -218,15 +255,15 @@ def test_mixed_sign_report_has_one_term():
     (term,) = rep.terms
     assert term.sign == 1
     assert rep.result.is_zero
-    # the plane z = 0 minus its two halves: the witness of the line x = y
-    # is ambiguous, and the refined operand cancels to the zero cycle
+    # the plane z = 0 minus its two halves: the term keeps the line x = y
+    # and the two rays on it, which cancel in the result
     plane = Polyhedron.from_hrep(3, [], [((0, 0, 1), 0)])
     halves = [Polyhedron.from_hrep(3, [(s, 0)], [((0, 0, 1), 0)]) for s in ((-1, 0, 0), (1, 0, 0))]
     x = cycle(3, [(plane, 1)] + [(h, -1) for h in halves])
     y = cycle(3, [(Polyhedron.from_hrep(3, [], [((1, -1, 0), 0)]), 1)])
     rep = stable_intersection_report(x, y)
     (term,) = rep.terms
-    assert rep.result.is_zero and term.result.is_zero
+    assert rep.result.is_zero and cycles_equal(term.result, zero_cycle(3))
 
 
 q2_points = st.lists(
@@ -264,10 +301,9 @@ def test_signed_operand_distributes(a_hyp, b_hyp, y, a, b):
     assert cycles_equal(stable_intersection(x, y), expected)
 
 
-def test_signed_q3_pair_runs_the_engine_once(monkeypatch):
+def test_signed_q3_pair_runs_the_engine_once():
     # 2A - 2B for two crossing tetrahedral fans against a translated third
-    # one; the planes of the negative cells of x cross the other cells, so
-    # an operand padded with them would need the whole-cycle refine-and-rerun
+    # one; the planes of the negative cells of x cross the other cells
     def hyp(pts, shift=(0, 0, 0)):
         h = tropical_hypersurface(polytope(3, pts))
         return cycle(3, [(c.translate(shift), m) for c, m in h.weighted_cells()])
@@ -276,16 +312,7 @@ def test_signed_q3_pair_runs_the_engine_once(monkeypatch):
     b_hyp = hyp([(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
     y = hyp([(1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 1)], (-1, 0, 0))
     x = cycle_sum(scalar(2, a_hyp), scalar(-2, b_hyp))
-    runs = []
-    engine = stable._engine
-
-    def spy(n, x, y, refined=False):
-        runs.append(refined)
-        return engine(n, x, y, refined=refined)
-
-    monkeypatch.setattr(stable, "_engine", spy)
     z = stable_intersection(x, y)
-    assert runs == [False]
     expected = cycle_sum(
         scalar(2, stable_intersection(a_hyp, y)), scalar(-2, stable_intersection(b_hyp, y))
     )
