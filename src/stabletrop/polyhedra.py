@@ -639,20 +639,32 @@ def _hyperplanes_of(cells):
 
 def _cut(cell, planes):
     """Pieces of one cell cut by hyperplane rows (a..., b), each piece of
-    the cell's dimension and weakly on one side of every hyperplane."""
+    the cell's dimension and weakly on one side of every hyperplane.
+
+    A plane is decided by signs over the piece's canonical V-rep, with no
+    LP or dimension test: a.p - b over its points, a.r over its rays, and
+    both signs for a lineality l with a.l != 0. Without both signs the
+    piece is kept whole; with both, its relative interior meets both open
+    sides, so both closed halves, lo then hi, are nonempty and of its
+    dimension.
+    """
     n = cell.ambient_dim
     pieces = [cell]
     for row in planes:
         a, b = row[:n], row[n]
         nxt = []
         for p in pieces:
-            lo = p.intersect(Polyhedron.from_hrep(n, [(a, b)]))
-            hi = p.intersect(Polyhedron.from_hrep(n, [(tuple(-x for x in a), -b)]))
-            keep = [s for s in (lo, hi) if not s.is_empty and s.dim == p.dim]
-            if len(keep) == 2 and keep[0] == keep[1]:
-                # p lies inside the hyperplane
-                keep = keep[:1]
-            nxt.extend(keep)
+            points, rays, lin = p.vrep()
+            if not points:
+                continue
+            vals = [vec_dot(a, q) - b for q in points] + [vec_dot(a, r) for r in rays]
+            if not (any(vec_dot(a, l) for l in lin) or max(vals) > 0 > min(vals)):
+                nxt.append(p)
+                continue
+            for h in ((a, b), (tuple(-x for x in a), -b)):
+                half = p.intersect(Polyhedron.from_hrep(n, [h], known_nonempty=True))
+                half._empty, half._dim = False, p.dim
+                nxt.append(half)
         pieces = nxt
     return pieces
 
@@ -664,7 +676,8 @@ def refine_cells(cells):
     lies weakly on one side of every hyperplane, so the pieces of all
     cells together form a polyhedral complex whenever the input cells'
     pairwise intersections are covered by those hyperplanes (always true:
-    all facets of all cells are included).
+    all facets of all cells are included). Each plane is decided on each
+    piece by the signs over the piece's V-rep (`_cut`), with no LP.
     """
     planes = _hyperplanes_of(cells)
     return [(idx, piece) for idx, cell in enumerate(cells) for piece in _cut(cell, planes)]
@@ -673,8 +686,9 @@ def refine_cells(cells):
 def covered_by(region, cells):
     """Whether the region lies inside the union of the cells.
 
-    Only the region is cut, by the hyperplanes of itself and the cells. No
-    such hyperplane crosses a piece, so a piece lies in a cell exactly
+    Only the region is cut, by the hyperplanes of itself and the cells,
+    each decided by the signs over a piece's V-rep (`_cut`), with no LP.
+    No such hyperplane crosses a piece, so a piece lies in a cell exactly
     when its interior point does.
     """
     if region.is_empty:

@@ -7,7 +7,9 @@ sharing no geometry code with them beyond exact arithmetic. The
 arrangement references for balancing and connectivity are the exception:
 they refine the whole cycle by every facet hyperplane of every cell and
 read both answers off the ridges of that complex, which the library's
-local checks never build.
+local checks never build. `lp_cut` keeps the cut by emptiness and
+dimension tests on both closed halves, the reference for the library's
+cut by vertex signs.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from stabletrop.lattices import (
     vec_sub,
 )
 from stabletrop.linprog import feasible_point
+from stabletrop.polyhedra import Polyhedron
 
 
 def mat_mul(a, b):
@@ -229,6 +232,26 @@ def mixed_volume_oracle(vertex_sets):
         sign = 1 if (n - len(chosen)) % 2 == 0 else -1
         total += sign * vol
     return total / factorial(n)
+
+
+def lp_cut(cell, planes):
+    """Pieces of one cell cut by hyperplane rows (a..., b), each piece of
+    the cell's dimension and weakly on one side of every hyperplane."""
+    n = cell.ambient_dim
+    pieces = [cell]
+    for row in planes:
+        a, b = row[:n], row[n]
+        nxt = []
+        for p in pieces:
+            lo = p.intersect(Polyhedron.from_hrep(n, [(a, b)]))
+            hi = p.intersect(Polyhedron.from_hrep(n, [(tuple(-x for x in a), -b)]))
+            keep = [s for s in (lo, hi) if not s.is_empty and s.dim == p.dim]
+            if len(keep) == 2 and keep[0] == keep[1]:
+                # p lies inside the hyperplane
+                keep = keep[:1]
+            nxt.extend(keep)
+        pieces = nxt
+    return pieces
 
 
 @lru_cache(maxsize=4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stabletrop import polyhedra
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.cycles import (
     GenericVector,
@@ -24,7 +25,8 @@ from stabletrop.cycles import (
     zero_cycle,
 )
 from stabletrop.lattices import LatticeSubgroup, saturation
-from stabletrop.polyhedra import Polyhedron
+from stabletrop.polyhedra import Polyhedron, refine_cells
+from stabletrop.polytopes import polytope, tropical_hypersurface
 
 
 def ray(n, direction, apex=None):
@@ -175,6 +177,25 @@ def test_sum_of_opposite_is_zero():
     t = tropical_line()
     assert cycle_sum(t, scalar(-1, t)).is_zero
     assert cycles_equal(t, t)
+
+
+def test_refinement_solves_no_lp(monkeypatch):
+    # refinement decides every plane by vertex signs: comparing point
+    # cycles, or refining the overlapping cells of two tetrahedral
+    # hypersurfaces in Q^3, makes no feasible_point call
+    calls = []
+    lp = polyhedra.feasible_point
+    monkeypatch.setattr(polyhedra, "feasible_point", lambda *a, **k: calls.append(a) or lp(*a, **k))
+    pts = [((0, 0), 2), ((1, 0), -1), ((0, 1), 3), ((2, 1), -2)]
+    x = cycle(2, [(Polyhedron.point(p), m) for p, m in pts])
+    y = cycle(2, [(Polyhedron.point(p), m) for p, m in reversed(pts)])
+    assert cycles_equal(x, y) and not cycles_equal(x, scalar(2, y))
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
+    cells = [c for c, _ in tropical_hypersurface(p).weighted_cells()]
+    cells += [c.translate((1, 1, 0)) for c, _ in tropical_hypersurface(q).weighted_cells()]
+    assert len(refine_cells(cells)) == 227
+    assert calls == []
 
 
 def test_mult_at():

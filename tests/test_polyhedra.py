@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import triangulation_volume, vgen_member
+from oracles import lp_cut, triangulation_volume, vgen_member
 from stabletrop.errors import ValidationError
-from stabletrop.lattices import LatticeSubgroup
+from stabletrop.lattices import LatticeSubgroup, vec_dot
 from stabletrop.polyhedra import (
     Polyhedron,
+    _cut,
+    _hyperplanes_of,
     is_polyhedral_complex,
     point_in_sum,
     refine_cells,
@@ -286,6 +288,46 @@ def test_refine_cells_mixed_dims():
     assert is_polyhedral_complex([p for _, p in pieces])
     dims = sorted(p.dim for _, p in pieces)
     assert dims == [1, 2, 2]
+
+
+@st.composite
+def cut_cells(draw, n):
+    """A polytope, a cone with rays, a cell with lineality, a segment or a
+    point; lower-dimensional ones are frequent at these sizes."""
+    kind = draw(st.sampled_from(("polytope", "cone", "lineality", "segment", "point")))
+    if kind == "cone":
+        return Polyhedron.cone_from_rays(n, draw(st.lists(ivec(n), min_size=1, max_size=2)))
+    size = {"polytope": (n + 1, n + 2), "segment": (2, 2), "point": (1, 1)}.get(kind, (1, 2))
+    pts = draw(st.lists(ivec(n), min_size=size[0], max_size=size[1], unique=True))
+    if kind != "lineality":
+        return Polyhedron.from_vrep(n, pts)
+    return Polyhedron.from_vrep(n, pts, draw(st.lists(ivec(n), max_size=2)), [draw(ivec(n))])
+
+
+@given(st.data())
+def test_cut_matches_lp_cut(data):
+    # the cut by vertex signs against the cut by emptiness and dimension
+    # tests: the same pieces in the same order, of the cell's dimension
+    n = data.draw(st.sampled_from((2, 3)))
+    normal = ivec(n).map(lambda a: a if any(a) else (1,) + a[1:])
+    cell = data.draw(cut_cells(n))
+    if data.draw(st.integers(0, 3)) == 0:
+        # a cell lying in a hyperplane; its own equalities are among the planes
+        a = data.draw(normal)
+        cell = cell.intersect(Polyhedron.from_hrep(n, eqs=[(a, vec_dot(a, cell.vrep()[0][0]))]))
+    others = data.draw(st.lists(cut_cells(n), max_size=2))
+    known = _hyperplanes_of([cell] + others)
+    planes = data.draw(st.lists(st.sampled_from(known), max_size=4, unique=True)) if known else []
+    # planes through a relative interior point cross the cell unless it lies in them
+    x = cell.interior_point()
+    planes += [a + (vec_dot(a, x),) for a in data.draw(st.lists(normal, max_size=2))]
+    planes += data.draw(st.lists(st.tuples(normal, small_int).map(lambda r: r[0] + r[1:]), max_size=2))
+    planes = data.draw(st.permutations(planes))
+    pieces, reference = _cut(cell, planes), lp_cut(cell, planes)
+    assert [p.key() for p in pieces] == [p.key() for p in reference]
+    assert [p.dim for p in pieces] == [p.dim for p in reference] == [cell.dim] * len(pieces)
+    empty = Polyhedron.empty(n)
+    assert [p.key() for p in _cut(empty, planes)] == [p.key() for p in lp_cut(empty, planes)]
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

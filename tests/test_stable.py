@@ -290,7 +290,7 @@ def q2_hypersurfaces(draw):
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=3),
 )
-@settings(max_examples=20)
+@settings(max_examples=30)
 def test_signed_operand_distributes(a_hyp, b_hyp, y, a, b):
     # (a A - b B) . y = a (A . y) - b (B . y), the right side from
     # products of positively weighted cycles only
