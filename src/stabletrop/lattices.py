@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntVector = tuple
 IntMatrix = tuple
@@ -62,12 +62,10 @@ def primitive(v) -> IntVector:
 
 
 def rational_to_primitive(v) -> IntVector:
-    """Primitive integer vector spanning the same ray as a rational vector."""
-    denoms = [Fraction(a).denominator for a in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    return primitive(tuple(int(Fraction(a) * scale) for a in v))
+    """Primitive integer vector spanning the same ray as a vector of ints
+    and Fractions."""
+    scale = lcm(*(a.denominator for a in v))
+    return primitive(tuple(a.numerator * (scale // a.denominator) for a in v))
 
 
 def int_rank(rows) -> int:

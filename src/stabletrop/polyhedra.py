@@ -16,6 +16,13 @@ Both directions of conversion run the same cone double description core
 inequalities. Ray adjacency inside `_dd` uses the exact algebraic test
 (rank of the common tight set), not a combinatorial heuristic, so the
 output rays are exactly the extreme rays.
+
+Faces need no conversion. A face of P is cut out by some of P's facet
+rows, and its generators are those of P on which the rows are tight
+(`_face`); the sub-tuple of P's canonical V-rep is the face's canonical
+V-rep, since a face keeps P's lineality. `facets`, `minimal_face_at` and
+`all_faces` are all built this way, and `dim` is read off the V side,
+so a face's H-rep is computed only when asked for.
 """
 
 from __future__ import annotations
@@ -334,10 +341,7 @@ class Polyhedron:
     @property
     def dim(self):
         if self._dim is None:
-            if self.is_empty:
-                self._dim = -1
-            else:
-                self._dim = self.ambient_dim - len(self.hrep()[1])
+            self._dim = -1 if self.is_empty else self.direction_lattice().rank
         return self._dim
 
     def key(self):
@@ -534,49 +538,50 @@ class Polyhedron:
             known_nonempty=True,
         )
 
+    def _face(self, rows):
+        """The face on which every given inequality row (a..., b) of P is
+        tight: P's canonical points with a.p == b and rays with a.r == 0
+        for every row, and P's lineality. A face has P's lineality, so the
+        same reduction and order hold and the sub-tuple is canonical as it
+        stands; the face's H-rep stays lazy."""
+        n = self.ambient_dim
+        points, rays, lin = self.vrep()
+        points = tuple(p for p in points if all(vec_dot(r[:n], p) == r[n] for r in rows))
+        if not points:
+            return Polyhedron.empty(n)
+        face = Polyhedron(n)
+        face._empty = False
+        face._vrep = (points, tuple(v for v in rays if all(vec_dot(r[:n], v) == 0 for r in rows)), lin)
+        return face
+
     def minimal_face_at(self, w):
         """Smallest face containing the point w of P."""
         if not self.contains(w):
             raise ValidationError("point is not in the polyhedron")
         w = tuple(Fraction(a) for a in w)
         n = self.ambient_dim
-        ineqs, eqs = self.hrep()
-        tight = [r for r in ineqs if vec_dot(r[:n], w) == r[n]]
-        return Polyhedron.from_hrep(
-            n,
-            [(r[:n], r[n]) for r in ineqs],
-            [(r[:n], r[n]) for r in eqs] + [(r[:n], r[n]) for r in tight],
-            known_nonempty=True,
-        )
+        return self._face([r for r in self.hrep()[0] if vec_dot(r[:n], w) == r[n]])
 
     def facets(self):
         """Codimension-one faces."""
-        n = self.ambient_dim
-        ineqs, eqs = self.hrep()
-        out = []
-        for r in ineqs:
-            pairs_i = [(q[:n], q[n]) for q in ineqs]
-            pairs_e = [(q[:n], q[n]) for q in eqs] + [(r[:n], r[n])]
-            out.append(Polyhedron.from_hrep(n, pairs_i, pairs_e, known_nonempty=True))
-        return out
+        return [self._face([r]) for r in self.hrep()[0]]
 
     def all_faces(self):
-        """Every nonempty face, including the polyhedron itself."""
-        if self._faces is not None:
-            return self._faces
-        if self.is_empty:
-            self._faces = ()
-            return self._faces
-        seen = {}
-        stack = [self]
-        while stack:
-            f = stack.pop()
-            k = f.key()
-            if k in seen:
-                continue
-            seen[k] = f
-            stack.extend(f.facets())
-        self._faces = tuple(sorted(seen.values(), key=lambda f: (f.dim, f.key())))
+        """Every nonempty face, including the polyhedron itself, in
+        (dim, key) order: the faces of P are the nonempty intersections
+        of its facets, found by cutting faces with P's facet rows."""
+        if self._faces is None:
+            rows = self.hrep()[0]
+            seen = {}
+            stack = [self]
+            while stack:
+                f = stack.pop()
+                k = f.key()
+                if f.is_empty or k in seen:
+                    continue
+                seen[k] = f
+                stack.extend(f._face([r]) for r in rows)
+            self._faces = tuple(sorted(seen.values(), key=lambda f: (f.dim, f.key())))
         return self._faces
 
     def is_face_of(self, other):

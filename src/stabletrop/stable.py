@@ -76,29 +76,17 @@ class IntersectionReport:
     terms: tuple
 
 
-def _dedup_lattices(lats):
-    seen = {}
-    for lat in lats:
-        seen[lat.generators] = lat
-    return list(seen.values())
-
-
-def _face_direction_lattices(cells):
-    lats = []
-    for c in cells:
-        for f in c.all_faces():
-            lats.append(f.direction_lattice())
-    return _dedup_lattices(lats)
-
-
 def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     """Certified generic displacement for the pair (x, y): avoids the span
     of every deficient face pair, hence the codimension-one skeleton of
     the Minkowski differences of all links."""
     n = x.ambient_dim
+    lx, ly = (
+        dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()) for z in (x, y)
+    )
     avoid = []
-    for a in _face_direction_lattices(x.cells):
-        for b in _face_direction_lattices(y.cells):
+    for a in lx:
+        for b in ly:
             s = sum_lattices(a, b)
             if s.rank < n:
                 avoid.append(s)

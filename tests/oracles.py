@@ -9,7 +9,9 @@ they refine the whole cycle by every facet hyperplane of every cell and
 read both answers off the ridges of that complex, which the library's
 local checks never build. `lp_cut` keeps the cut by emptiness and
 dimension tests on both closed halves, the reference for the library's
-cut by vertex signs.
+cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
+`hrep_minimal_face_at` rebuild each face from the H-rep with its tight
+rows made equalities, the reference for faces read off the V-rep.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from itertools import combinations, product
 from math import factorial
 
 from stabletrop.cycles import _normal_in_quotient, _overlay, _ridge_index, cycle
+from stabletrop.errors import ValidationError
 from stabletrop.lattices import (
     nullspace_rational,
     quotient_matrix,
@@ -106,11 +109,11 @@ def affine_lattice_coordinates(vertices):
         return [tuple() for _ in vertices], 0
     lat = saturation(len(v0), prim)
     basis_cols = transpose(lat.generators)
-    out = [tuple(Fraction(0) for _ in range(lat.rank))]
+    out = [tuple(0 for _ in range(lat.rank))]
     for d in diffs:
         coords = solve_rational(basis_cols, d)
         assert coords is not None
-        out.append(tuple(coords))
+        out.append(tuple(int(c) if c.denominator == 1 else c for c in coords))
     return out, lat.rank
 
 
@@ -153,7 +156,8 @@ def _supported_faces(pts, base, rank):
         if len(betas) != 1:
             continue
         beta = betas[0]
-        h = tuple(sum(b * s[j] for b, s in zip(beta, span_rows)) for j in range(n))
+        # a positive multiple of the normal supports the same faces
+        h = rational_to_primitive(tuple(sum(b * s[j] for b, s in zip(beta, span_rows)) for j in range(n)))
         vals = [vec_dot(h, p) for p in pts]
         c = vec_dot(h, sel[0])
         if all(v <= c for v in vals) or all(v >= c for v in vals):
@@ -252,6 +256,55 @@ def lp_cut(cell, planes):
             nxt.extend(keep)
         pieces = nxt
     return pieces
+
+
+def hrep_dim(p):
+    """Dimension read off the H-rep: ambient minus the equality rows."""
+    return -1 if p.is_empty else p.ambient_dim - len(p.hrep()[1])
+
+
+def hrep_minimal_face_at(p, w):
+    """Smallest face containing the point w of p."""
+    if not p.contains(w):
+        raise ValidationError("point is not in the polyhedron")
+    w = tuple(Fraction(a) for a in w)
+    n = p.ambient_dim
+    ineqs, eqs = p.hrep()
+    tight = [r for r in ineqs if vec_dot(r[:n], w) == r[n]]
+    return Polyhedron.from_hrep(
+        n,
+        [(r[:n], r[n]) for r in ineqs],
+        [(r[:n], r[n]) for r in eqs] + [(r[:n], r[n]) for r in tight],
+        known_nonempty=True,
+    )
+
+
+def hrep_facets(p):
+    """Codimension-one faces of p."""
+    n = p.ambient_dim
+    ineqs, eqs = p.hrep()
+    out = []
+    for r in ineqs:
+        pairs_i = [(q[:n], q[n]) for q in ineqs]
+        pairs_e = [(q[:n], q[n]) for q in eqs] + [(r[:n], r[n])]
+        out.append(Polyhedron.from_hrep(n, pairs_i, pairs_e, known_nonempty=True))
+    return out
+
+
+def hrep_all_faces(p):
+    """Every nonempty face of p, including p itself."""
+    if p.is_empty:
+        return ()
+    seen = {}
+    stack = [p]
+    while stack:
+        f = stack.pop()
+        k = f.key()
+        if k in seen:
+            continue
+        seen[k] = f
+        stack.extend(hrep_facets(f))
+    return tuple(sorted(seen.values(), key=lambda f: (hrep_dim(f), f.key())))
 
 
 @lru_cache(maxsize=4)

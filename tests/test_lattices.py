@@ -65,6 +65,11 @@ def test_primitive_examples():
 def test_rational_to_primitive():
     assert rational_to_primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert rational_to_primitive((Fraction(-2), Fraction(0))) == (-1, 0)
+    for v in [(4, -6, 0), (0, 3), (-5,), (7, 14, -21), (1, 0, 0, 0)]:
+        assert rational_to_primitive(v) == primitive(v)
+    assert rational_to_primitive((2, Fraction(1, 3), 0)) == (6, 1, 0)
+    assert rational_to_primitive((Fraction(-3, 4), -2, Fraction(5, 6))) == (-9, -24, 10)
+    assert all(type(a) is int for a in rational_to_primitive((Fraction(-1, 2), Fraction(4), 3)))
 
 
 @given(st.lists(small_int, min_size=1, max_size=5))

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lp_cut, triangulation_volume, vgen_member
+from oracles import (
+    hrep_all_faces,
+    hrep_dim,
+    hrep_facets,
+    hrep_minimal_face_at,
+    lp_cut,
+    triangulation_volume,
+    vgen_member,
+)
+from stabletrop import polyhedra
 from stabletrop.errors import ValidationError
 from stabletrop.lattices import LatticeSubgroup, vec_dot
 from stabletrop.polyhedra import (
@@ -22,6 +31,7 @@ from stabletrop.polyhedra import (
     point_in_sum,
     refine_cells,
 )
+from stabletrop.polytopes import polytope, tropical_hypersurface
 
 small_int = st.integers(min_value=-3, max_value=3)
 
@@ -242,6 +252,26 @@ def test_minimal_face_and_is_face():
     assert not Polyhedron.from_vrep(2, [(0, 0), (Fraction(1, 2), 0)]).is_face_of(sq)
 
 
+def test_faces_need_no_conversion(monkeypatch):
+    # faces are read off the cell's canonical V-rep: once a cell has both
+    # representations, its faces, facets and minimal faces, with their
+    # keys, dimensions and direction lattices, make no _dd call
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    cells = list(tropical_hypersurface(p).cells) + [p.polyhedron]
+    for c in cells:
+        c.vrep(), c.hrep()
+    calls = []
+    dd = polyhedra._dd
+    monkeypatch.setattr(polyhedra, "_dd", lambda *a: calls.append(a) or dd(*a))
+    faces = [f for c in cells for f in c.all_faces()]
+    assert (len(cells), len(faces)) == (7, 39)
+    faces += [f for c in cells for f in c.facets()]
+    faces += [c.minimal_face_at(w) for c in cells for w in (c.interior_point(),) + c.vrep()[0]]
+    for f in faces:
+        f.key(), f.dim, f.direction_lattice()
+    assert calls == []
+
+
 def test_direction_lattice():
     seg = Polyhedron.from_vrep(2, [(0, 0), (2, 4)])
     assert seg.direction_lattice() == LatticeSubgroup.from_vectors(2, [(1, 2)])
@@ -328,6 +358,30 @@ def test_cut_matches_lp_cut(data):
     assert [p.dim for p in pieces] == [p.dim for p in reference] == [cell.dim] * len(pieces)
     empty = Polyhedron.empty(n)
     assert [p.key() for p in _cut(empty, planes)] == [p.key() for p in lp_cut(empty, planes)]
+
+
+@st.composite
+def h_cells(draw, n):
+    """A cell from random rows: halfspaces, cones, affine subspaces,
+    often unbounded or empty."""
+    rows = st.tuples(ivec(n), small_int)
+    return Polyhedron.from_hrep(n, draw(st.lists(rows, max_size=n + 2)), draw(st.lists(rows, max_size=1)))
+
+
+@given(st.data())
+def test_faces_match_hrep_reference(data):
+    # faces read off the V-rep against faces rebuilt from the H-rep with
+    # their tight rows made equalities: the same faces in the same order,
+    # of the same dimension
+    n = data.draw(st.integers(1, 4))
+    cell = data.draw(st.one_of(cut_cells(n), h_cells(n), st.just(Polyhedron.empty(n))))
+    for faces, reference in ((cell.all_faces(), hrep_all_faces(cell)), (cell.facets(), hrep_facets(cell))):
+        assert [f.key() for f in faces] == [f.key() for f in reference]
+        assert [f.dim for f in faces] == [hrep_dim(f) for f in reference]
+    if not cell.is_empty:
+        for w in (cell.interior_point(),) + cell.vrep()[0]:
+            face, reference = cell.minimal_face_at(w), hrep_minimal_face_at(cell, w)
+            assert (face.key(), face.dim) == (reference.key(), hrep_dim(reference))
 
 
 def test_is_polyhedral_complex_detects_bad_pair():
