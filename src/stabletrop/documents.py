@@ -14,6 +14,7 @@ which span the same cone.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from stabletrop.cycles import TropicalCycle, cycle, zero_cycle
@@ -26,6 +27,8 @@ from stabletrop.stable import MAX_DIGITS, TOO_LONG
 CYCLE_KEYS = {"ambient_dim", "rays", "lineality", "cones"}
 POLYTOPE_KEYS = {"ambient_dim", "vertices"}
 MATRIX_KEYS = {"rows"}
+# the only rational strings: "p" or "p/q", ASCII digits, no exponent
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _reject_float(text):
@@ -78,10 +81,14 @@ def _rational(value, what: str) -> Fraction:
     if _plain_int(value):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{what} is not a valid 'p/q' string: {value!r}") from None
+        match = _RATIONAL.fullmatch(value)
+        if match:
+            p, q = match.groups("1")
+            try:
+                return Fraction(int(p), int(q))
+            except (ValueError, ZeroDivisionError):  # over MAX_DIGITS digits, or q == 0
+                pass
+        raise ParseError(f"{what} is not a valid 'p/q' string: {value!r}")
     raise ParseError(f"{what} must be an integer or a 'p/q' string")
 
 

@@ -362,16 +362,6 @@ class LatticeSubgroup:
         """Generators as the columns of an (ambient_rank x rank) matrix."""
         return transpose(self.generators) if self.generators else tuple(() for _ in range(self.ambient_rank))
 
-    def contains_vector(self, v) -> bool:
-        if vec_is_zero(v):
-            return True
-        if not self.generators:
-            return False
-        return solve_integer(self.basis_columns(), v) is not None
-
-    def is_subgroup_of(self, other: "LatticeSubgroup") -> bool:
-        return all(other.contains_vector(g) for g in self.generators)
-
 
 def standard_lattice(n: int) -> LatticeSubgroup:
     return LatticeSubgroup.from_vectors(n, identity_matrix(n))

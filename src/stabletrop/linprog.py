@@ -1,10 +1,10 @@
 """Exact linear feasibility over the rationals.
 
 A single phase-1 simplex with Bland's rule, run entirely in Fraction
-arithmetic. This is only used as a feasibility oracle (point membership in
-Minkowski sums, relative interiors, emptiness of refinement pieces,
-polytopality certificates), so there is no objective beyond driving the
-artificial variables to zero.
+arithmetic. This is only used as a feasibility oracle (emptiness of
+polyhedra given by constraints, which decides the engine's displacement
+test, and polytopality certificates), so there is no objective beyond
+driving the artificial variables to zero.
 """
 
 from __future__ import annotations

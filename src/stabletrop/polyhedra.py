@@ -594,37 +594,12 @@ class Polyhedron:
         return other.minimal_face_at(w) == self
 
 
-def point_in_sum(polys, x, signs=None):
-    """Whether x lies in the signed Minkowski sum sum_i signs_i * P_i.
-
-    Decided by one exact LP over the concatenated coordinates.
-    """
-    if signs is None:
-        signs = [1] * len(polys)
-    if any(p.is_empty for p in polys):
-        return False
-    n = polys[0].ambient_dim
-    x = tuple(Fraction(a) for a in x)
-    k = len(polys)
-    width = k * n
-    ineqs = []
-    eqs = []
-    for i, p in enumerate(polys):
-        pi, pe = p._constraints()
-        for r in pi:
-            row = [0] * width
-            row[i * n : (i + 1) * n] = list(r[:n])
-            ineqs.append((tuple(row), r[n]))
-        for r in pe:
-            row = [0] * width
-            row[i * n : (i + 1) * n] = list(r[:n])
-            eqs.append((tuple(row), r[n]))
-    for j in range(n):
-        row = [0] * width
-        for i, s in enumerate(signs):
-            row[i * n + j] = s
-        eqs.append((tuple(row), x[j]))
-    return feasible_point(width, ineqs, eqs) is not None
+def point_in_sum(p, q, v):
+    """Whether v lies in the Minkowski difference P - Q, that is whether
+    P meets Q + v: the displacement test of the fan displacement rule.
+    Decided by the emptiness test of the intersection, one LP in the
+    ambient coordinates or none when the origin is feasible."""
+    return not p.intersect(q.translate(v)).is_empty
 
 
 def _hyperplanes_of(cells):

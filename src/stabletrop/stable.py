@@ -3,10 +3,13 @@
 The primary engine evaluates the displacement definition directly, one
 cell pair at a time (the fan displacement rule): a pair whose direction
 spans fill the ambient space, whose intersection has the expected
-dimension, and whose links are met by a certified generic displacement
-vector adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that
-intersection. The terms are then overlaid one affine hull at a time
-(`normalize_weighted`), so the overlay never sees two hulls at once.
+dimension, and whose links C_x, C_y at an interior point of it still
+meet after C_y is moved by a certified generic displacement vector v
+adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
+The test v in C_x - C_y is the emptiness test of C_x and C_y + v
+(`point_in_sum`), one LP in the ambient coordinates. The terms are then
+overlaid one affine hull at a time (`normalize_weighted`), so the
+overlay never sees two hulls at once.
 
 Two independent routes exist for cross-validation: an explicit
 perturbation (intersect X with Y shifted by eps * v, then let eps go to
@@ -94,14 +97,17 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
 
 
 def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
+    """(i, j, N_sigma + N_tau) for each cell pair whose direction
+    lattices sum to full rank; the sum gives the pair's lattice index."""
     n = x.ambient_dim
     out = []
-    for i, (sx, mx) in enumerate(x.weighted_cells()):
+    for i, sx in enumerate(x.cells):
         lx = sx.direction_lattice()
-        for j, (sy, my) in enumerate(y.weighted_cells()):
+        for j, sy in enumerate(y.cells):
             ly = sy.direction_lattice()
-            if sum_lattices(lx, ly).rank == n:
-                out.append((i, j))
+            lat = sum_lattices(lx, ly)
+            if lat.rank == n:
+                out.append((i, j, lat))
     return out
 
 
@@ -123,15 +129,15 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     amb = standard_lattice(n)
     weighted = []
     contribs = {}
-    for i, j in _spanning_pairs(x, y):
+    for i, j, lat in _spanning_pairs(x, y):
         sx, sy = x.cells[i], y.cells[j]
         w = sx.intersect(sy)
-        if w.is_empty or w.dim != k_res:
+        if w.dim != k_res:
             continue
         gamma = w.interior_point()
-        if not point_in_sum([sx.link_at(gamma), sy.link_at(gamma)], gen.vector, signs=[1, -1]):
+        if not point_in_sum(sx.link_at(gamma), sy.link_at(gamma), gen.vector):
             continue
-        idx = lattice_index(amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice()))
+        idx = lattice_index(amb, lat)
         term = x.multiplicities[i] * y.multiplicities[j] * idx
         weighted.append((w, term))
         contribs.setdefault(w.key(), []).append(FacetContribution(i, j, idx, term))
@@ -220,7 +226,7 @@ def _transverse_pieces(x, y, v, eps):
     k_res = x.dim + y.dim - n
     shift = tuple(eps * a for a in v)
     pieces = []
-    for i, j in _spanning_pairs(x, y):
+    for i, j, lat in _spanning_pairs(x, y):
         sx, sy = x.cells[i], y.cells[j]
         w = sx.intersect(sy.translate(shift))
         if w.is_empty:
@@ -230,7 +236,7 @@ def _transverse_pieces(x, y, v, eps):
         inner = w.interior_point()
         if not (sx.relint_contains(inner) and sy.translate(shift).relint_contains(inner)):
             raise GenericityError("perturbed intersection is not transverse")
-        pieces.append((i, j, w))
+        pieces.append((i, j, lat, w))
     return pieces
 
 
@@ -265,18 +271,15 @@ def perturbation_intersection(
     k_res = x.dim + y.dim - n
     pieces = _transverse_pieces(x, y, v, eps)
     half = _transverse_pieces(x, y, v, eps / 2)
-    sig = sorted((i, j, w.recession().key()) for i, j, w in pieces)
-    sig_half = sorted((i, j, w.recession().key()) for i, j, w in half)
+    sig = sorted((i, j, w.recession().key()) for i, j, _, w in pieces)
+    sig_half = sorted((i, j, w.recession().key()) for i, j, _, w in half)
     if sig != sig_half:
         raise GenericityError("intersection pattern changed under eps halving")
     amb = standard_lattice(n)
     weighted = []
     limit = []
-    for i, j, w in pieces:
-        idx = lattice_index(
-            amb,
-            sum_lattices(x.cells[i].direction_lattice(), y.cells[j].direction_lattice()),
-        )
+    for i, j, lat, w in pieces:
+        idx = lattice_index(amb, lat)
         term = x.multiplicities[i] * y.multiplicities[j] * idx
         weighted.append((w, term))
         rec = w.recession()

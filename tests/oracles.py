@@ -12,6 +12,10 @@ dimension tests on both closed halves, the reference for the library's
 cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
 `hrep_minimal_face_at` rebuild each face from the H-rep with its tight
 rows made equalities, the reference for faces read off the V-rep.
+`split_point_in_sum` decides membership in a signed Minkowski sum by one
+LP over the stacked coordinates of all operands, the reference for the
+library's displacement test by intersection. `contains_vector` and
+`is_subgroup_of` decide lattice membership by an integer solve.
 """
 
 from fractions import Fraction
@@ -28,6 +32,7 @@ from stabletrop.lattices import (
     rational_to_primitive,
     rref,
     saturation,
+    solve_integer,
     transpose,
     vec_dot,
     vec_is_zero,
@@ -256,6 +261,51 @@ def lp_cut(cell, planes):
             nxt.extend(keep)
         pieces = nxt
     return pieces
+
+
+def split_point_in_sum(polys, x, signs):
+    """Whether x lies in the signed Minkowski sum sum_i signs_i * P_i.
+
+    Decided by one exact LP over the concatenated coordinates.
+    """
+    if any(p.is_empty for p in polys):
+        return False
+    n = polys[0].ambient_dim
+    x = tuple(Fraction(a) for a in x)
+    k = len(polys)
+    width = k * n
+    ineqs = []
+    eqs = []
+    for i, p in enumerate(polys):
+        pi, pe = p._constraints()
+        for r in pi:
+            row = [0] * width
+            row[i * n : (i + 1) * n] = list(r[:n])
+            ineqs.append((tuple(row), r[n]))
+        for r in pe:
+            row = [0] * width
+            row[i * n : (i + 1) * n] = list(r[:n])
+            eqs.append((tuple(row), r[n]))
+    for j in range(n):
+        row = [0] * width
+        for i, s in enumerate(signs):
+            row[i * n + j] = s
+        eqs.append((tuple(row), x[j]))
+    return feasible_point(width, ineqs, eqs) is not None
+
+
+def contains_vector(lattice, v):
+    """Whether the integer vector v lies in the lattice subgroup."""
+    if vec_is_zero(v):
+        return True
+    if not lattice.generators:
+        return False
+    return solve_integer(lattice.basis_columns(), v) is not None
+
+
+def is_subgroup_of(a, b):
+    """Whether every generator of the subgroup a lies in b."""
+    return all(contains_vector(b, g) for g in a.generators)
 
 
 def hrep_dim(p):

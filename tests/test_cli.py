@@ -189,6 +189,18 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
 
 
+def test_numbers_outside_the_grammar_exit_2(tmp_path, capsys):
+    # only "p" and "p/q" strings are numbers; a decimal point or an
+    # exponent is malformed, and "1e1000000000" is not expanded
+    for text in ("1.5", "1e3", "1e1000000000"):
+        vertex = write(tmp_path, "vertex.json", {"ambient_dim": 2, "vertices": [[0, 0], [text, 0], [0, 1]]})
+        cone = {"rays": [0], "mult": text}
+        mult = write(tmp_path, "mult.json", dict(tropical_line_doc(), cones=[cone]))
+        for argv in (["volume", vertex], ["check-balanced", mult]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+
+
 def test_dimension_mismatch_exits_4(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     three = write(

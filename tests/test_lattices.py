@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import mat_mul, solve_rational
+from oracles import contains_vector, is_subgroup_of, mat_mul, solve_rational
 from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
@@ -103,7 +103,7 @@ def test_hermite_preserves_row_lattice(rows):
     sub = LatticeSubgroup.from_vectors(3, rows)
     # every original row lies in the canonical subgroup
     for r in rows:
-        assert sub.contains_vector(r)
+        assert contains_vector(sub, r)
     # every canonical generator is an integer combination of the rows
     nonzero = [r for r in rows if any(r)]
     for g in sub.generators:
@@ -220,10 +220,10 @@ def test_integer_kernel_annihilates(m):
 
 def test_subgroup_membership():
     even_sum = LatticeSubgroup.from_vectors(2, [(1, 1), (0, 2)])
-    assert even_sum.contains_vector((3, 5))
-    assert not even_sum.contains_vector((1, 0))
-    assert zero_subgroup(2).contains_vector((0, 0))
-    assert not zero_subgroup(2).contains_vector((1, 0))
+    assert contains_vector(even_sum, (3, 5))
+    assert not contains_vector(even_sum, (1, 0))
+    assert contains_vector(zero_subgroup(2), (0, 0))
+    assert not contains_vector(zero_subgroup(2), (1, 0))
 
 
 def test_lattice_index_frozen_examples():
@@ -262,8 +262,8 @@ def test_intersect_box_oracle():
     b = LatticeSubgroup.from_vectors(2, [(1, 2), (3, 0)])
     inter = intersect_lattices(a, b)
     for v in product(range(-6, 7), repeat=2):
-        both = a.contains_vector(v) and b.contains_vector(v)
-        assert inter.contains_vector(v) == both
+        both = contains_vector(a, v) and contains_vector(b, v)
+        assert contains_vector(inter, v) == both
 
 
 def test_index_identity_worked_instance():
@@ -342,11 +342,11 @@ def test_saturation_examples():
 def test_saturation_contains_and_spans(rows):
     sat = saturation(3, rows)
     sub = LatticeSubgroup.from_vectors(3, rows)
-    assert sub.is_subgroup_of(sat)
+    assert is_subgroup_of(sub, sat)
     assert sat.rank == rank_rows(rows) if any(any(r) for r in rows) else sat.rank == 0
     # saturated: any integer vector in the span is in the subgroup
     for g in sat.generators:
-        assert sat.contains_vector(g)
+        assert contains_vector(sat, g)
     if sub.rank == sat.rank and sub.rank > 0:
         idx = lattice_index(sat, sub)
         assert idx is not None and idx >= 1
@@ -381,7 +381,7 @@ def test_quotient_matrix_kernel(rows):
         assert all(x == 0 for x in mat_vec(q, g))
     # kernel of q is no bigger than sat
     for col in integer_kernel(q):
-        assert sat.contains_vector(col)
+        assert contains_vector(sat, col)
 
 
 def test_vec_dot_sanity():

@@ -17,6 +17,7 @@ from oracles import (
     hrep_facets,
     hrep_minimal_face_at,
     lp_cut,
+    split_point_in_sum,
     triangulation_volume,
     vgen_member,
 )
@@ -282,21 +283,28 @@ def test_direction_lattice():
 # --------------------------------------------------------- sums, refinement
 
 
+def negated(p):
+    n = p.ambient_dim
+    return p.image([tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)])
+
+
 def test_point_in_sum():
     seg1 = Polyhedron.from_vrep(2, [(0, 0), (1, 0)])
     seg2 = Polyhedron.from_vrep(2, [(0, 0), (0, 1)])
-    assert point_in_sum([seg1, seg2], (Fraction(1, 2), Fraction(1, 2)))
-    assert not point_in_sum([seg1, seg2], (2, 0))
+    # sum: x in seg1 + seg2 = seg1 - (-seg2)
+    assert point_in_sum(seg1, negated(seg2), (Fraction(1, 2), Fraction(1, 2)))
+    assert not point_in_sum(seg1, negated(seg2), (2, 0))
     # difference: x in seg1 - seg2
-    assert point_in_sum([seg1, seg2], (1, -1), signs=[1, -1])
-    assert not point_in_sum([seg1, seg2], (1, 1), signs=[1, -1])
+    assert point_in_sum(seg1, seg2, (1, -1))
+    assert not point_in_sum(seg1, seg2, (1, 1))
+    assert not point_in_sum(seg1, Polyhedron.empty(2), (0, 0))
 
 
 @given(ivec(2), ivec(2), ivec(2))
 def test_point_in_sum_matches_minkowski(a, b, probe):
     p = Polyhedron.from_vrep(2, [(0, 0), a])
     q = Polyhedron.from_vrep(2, [(0, 0), b])
-    assert point_in_sum([p, q], probe) == p.minkowski(q).contains(probe)
+    assert point_in_sum(p, negated(q), probe) == p.minkowski(q).contains(probe)
 
 
 def test_refine_cells_overlapping_squares():
@@ -382,6 +390,36 @@ def test_faces_match_hrep_reference(data):
         for w in (cell.interior_point(),) + cell.vrep()[0]:
             face, reference = cell.minimal_face_at(w), hrep_minimal_face_at(cell, w)
             assert (face.key(), face.dim) == (reference.key(), hrep_dim(reference))
+
+
+@st.composite
+def sum_operands(draw, n):
+    """A cell of `cut_cells` or `h_cells`, its link at one of its
+    canonical points, or the empty polyhedron."""
+    kind = draw(st.sampled_from(("cell", "link", "empty")))
+    if kind == "empty":
+        return Polyhedron.empty(n)
+    cell = draw(st.one_of(cut_cells(n), h_cells(n)))
+    if kind == "cell" or cell.is_empty:
+        return cell
+    return cell.link_at(draw(st.sampled_from(cell.vrep()[0])))
+
+
+@given(st.data())
+def test_point_in_sum_matches_split_lp(data):
+    # the intersection test against the LP over the stacked coordinates
+    # of both operands, with v on, inside, just outside and off P - Q
+    n = data.draw(st.sampled_from((2, 3)))
+    p, q = data.draw(sum_operands(n)), data.draw(sum_operands(n))
+    probes = [data.draw(ivec(n))]
+    if not (p.is_empty or q.is_empty):
+        d = p.minkowski(negated(q))
+        probes += [d.interior_point(), data.draw(st.sampled_from(d.vrep()[0]))]
+        for row in d.hrep()[0]:
+            x = d._face([row]).interior_point()
+            probes += [x] + [tuple(a + t * b for a, b in zip(x, row[:n])) for t in (Fraction(1, 7), Fraction(-1, 7))]
+    for v in probes:
+        assert point_in_sum(p, q, v) == split_point_in_sum([p, q], v, [1, -1])
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

@@ -24,6 +24,7 @@ from stabletrop.cycles import (
     scalar,
     zero_cycle,
 )
+from stabletrop import polyhedra
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import polytope, tropical_hypersurface
@@ -317,6 +318,22 @@ def test_signed_q3_pair_runs_the_engine_once():
         scalar(2, stable_intersection(a_hyp, y)), scalar(-2, stable_intersection(b_hyp, y))
     )
     assert len(z.cells) == 10 and cycles_equal(z, expected)
+
+
+def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
+    # each LP of the engine decides the emptiness of a pair's intersection
+    # or of C_x meeting C_y + v, both in the 3 ambient coordinates (the
+    # block LP of the signed sum C_x - C_y took 6); the count pins the work
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
+    x = tropical_hypersurface(p)
+    y = cycle(3, [(c.translate((1, 1, 0)), m) for c, m in tropical_hypersurface(q).weighted_cells()])
+    calls = []
+    lp = polyhedra.feasible_point
+    monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a, **k: calls.append(n) or lp(n, *a, **k))
+    report = stable_intersection_report(x, y)
+    assert len(report.result.cells) == 14
+    assert calls == [3] * 49
 
 
 # ------------------------------------------------------------- cross routes
