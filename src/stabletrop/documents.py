@@ -29,10 +29,20 @@ POLYTOPE_KEYS = {"ambient_dim", "vertices"}
 MATRIX_KEYS = {"rows"}
 # the only rational strings: "p" or "p/q", ASCII digits, no exponent
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# how much of a rejected number an error message quotes
+_QUOTED = 40
+
+
+def _quoted(text: str) -> str:
+    """repr of text, or of its first _QUOTED characters and its length, so a
+    message stays short however long the rejected input is."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _reject_float(text):
-    raise ParseError(f"floating point literal {text!r}; use integers or 'p/q' strings")
+    raise ParseError(f"floating point literal {_quoted(text)}; use integers or 'p/q' strings")
 
 
 def loads(text: str) -> dict:
@@ -88,7 +98,7 @@ def _rational(value, what: str) -> Fraction:
                 return Fraction(int(p), int(q))
             except (ValueError, ZeroDivisionError):  # over MAX_DIGITS digits, or q == 0
                 pass
-        raise ParseError(f"{what} is not a valid 'p/q' string: {value!r}")
+        raise ParseError(f"{what} is not a valid 'p/q' string: {_quoted(value)}")
     raise ParseError(f"{what} must be an integer or a 'p/q' string")
 
 

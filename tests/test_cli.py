@@ -201,6 +201,20 @@ def test_numbers_outside_the_grammar_exit_2(tmp_path, capsys):
             assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
 
 
+def test_rejected_numbers_are_quoted_briefly(tmp_path, capsys):
+    # a multiplicity string of a million digits, and a JSON float literal
+    # "1." followed by a million zeros: the message quotes a prefix and
+    # the length, not the whole number
+    digits = dict(tropical_line_doc(), cones=[{"rays": [0], "mult": "1" * 10**6}])
+    literal = documents.dumps(tropical_line_doc()).replace('"1"', "1." + "0" * 10**6, 1)
+    for k, (text, length) in enumerate([(documents.dumps(digits), 10**6), (literal, 10**6 + 2)]):
+        path = tmp_path / f"long{k}.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["check-balanced", str(path)])
+        assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+        assert len(err.encode()) < 1024 and f"({length} characters)" in err
+
+
 def test_dimension_mismatch_exits_4(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     three = write(

@@ -3,12 +3,16 @@ feasible systems."""
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_feasible_point
+from stabletrop import linprog
 from stabletrop.linprog import feasible_point
 
 small_int = st.integers(min_value=-4, max_value=4)
+# ints and Fractions of mixed denominators, negative right-hand sides too
+number = st.one_of(small_int, st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 def test_simple_feasible():
@@ -86,3 +90,53 @@ def test_random_systems_sound(data):
     if pt is not None:
         for a, b in ineqs:
             assert sum(ai * pi for ai, pi in zip(a, pt)) <= b
+
+
+@st.composite
+def systems(draw):
+    """n in 1..4, at most 8 inequalities and 3 equalities; possibly a zero
+    row, a repeated row (a degenerate Bland tie) and an infeasible pair of
+    equalities c·x == d, c·x == d + 1."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(st.tuples(*[number] * n), number)
+    ineqs = draw(st.lists(row, max_size=6))
+    eqs = draw(st.lists(row, max_size=2))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(draw(st.sampled_from(ineqs)))
+    if draw(st.booleans()):
+        ineqs.append(((0,) * n, draw(number)))
+    if eqs and draw(st.booleans()):
+        c, d = draw(st.sampled_from(eqs))
+        eqs.append((c, d + 1))
+    return n, ineqs, eqs
+
+
+# two repeated rows: the ratio test ties, and Bland's rule picks the point
+TIED = (3, [((0, -1, -1), -1), ((-1, 0, 1), 1)] * 2, [((-1, -1, 0), -1)])
+
+
+@settings(max_examples=200)
+@given(systems())
+@example(TIED)
+def test_matches_fraction_tableau(system):
+    # the integer tableau returns the Fraction tableau's point, or both None
+    assert feasible_point(*system) == fraction_feasible_point(*system)
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linprog, "Fraction", counting)
+    # x1 + x2 + x3 >= 3 with x <= 0: infeasible after three pivots
+    ineqs = [((-1, -1, -1), -3), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]
+    assert feasible_point(3, ineqs) is None
+    assert built == []
+    # x >= 1 with x1 + x2 + x3 == 4: four pivots; the tableau has 2*3 + 3 + 4
+    # columns, and only the point is built of Fractions
+    ineqs = [((-1, 0, 0), -1), ((0, -1, 0), -1), ((0, 0, -1), -1)]
+    assert feasible_point(3, ineqs, [((1, 1, 1), 4)]) == (2, 1, 1)
+    assert len(built) <= 2 * 3 + 3 + 4
