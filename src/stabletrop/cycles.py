@@ -243,15 +243,6 @@ def balanced_cycle(ambient_dim, weighted_cells):
     return x
 
 
-def link_cycle(x: TropicalCycle, w):
-    """Cone cycle of directions along which x is entered from w."""
-    pairs = []
-    for c, m in zip(x.cells, x.multiplicities):
-        if c.contains(w):
-            pairs.append((c.link_at(w), m))
-    return cycle(x.ambient_dim, pairs)
-
-
 def cartesian_product(x: TropicalCycle, y: TropicalCycle):
     if x.is_zero or y.is_zero:
         return zero_cycle(x.ambient_dim + y.ambient_dim)

@@ -110,8 +110,9 @@ def _ambient_dim(doc, what: str) -> int:
 
 def _check_keys(doc, allowed, what: str):
     _expect(isinstance(doc, dict), f"{what} must be a JSON object")
-    extra = set(doc) - allowed
-    _expect(not extra, f"unknown {what} keys: {sorted(extra)}")
+    extra = sorted(set(doc) - allowed)
+    shown = ", ".join(_quoted(k) for k in extra[:3]) + (", ..." if len(extra) > 3 else "")
+    _expect(not extra, f"{len(extra)} unknown {what} key(s): {shown}")
 
 
 # ------------------------------------------------------------- cycles

@@ -33,6 +33,7 @@ from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
     LatticeSubgroup,
     int_rank,
+    nullspace_rational,
     rational_to_primitive,
     rref,
     saturation,
@@ -450,7 +451,7 @@ class Polyhedron:
 
     # --------------------------------------------------------- operations
 
-    def intersect(self, other):
+    def intersect(self, other, known_nonempty=False):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
         n = self.ambient_dim
@@ -462,6 +463,7 @@ class Polyhedron:
             n,
             [(r[:n], r[n]) for r in si + oi],
             [(r[:n], r[n]) for r in se + oe],
+            known_nonempty,
         )
 
     def translate(self, t):
@@ -592,6 +594,32 @@ class Polyhedron:
             return False
         w = self.interior_point()
         return other.minimal_face_at(w) == self
+
+
+def transverse_links(p, q):
+    """The links (C_P, C_Q) along the relative interior of P ∩ Q, or None
+    unless P ∩ Q has the dimension of A = aff P ∩ aff Q. One LP on the
+    canonical rows in homogenized coordinates (y, s), with no conversion:
+    c·y = d·s for the equality rows, a·y - b·s <= -1 for each inequality
+    row not constant on A and <= 0 for one that is (so a pair meeting
+    inside a face passes), and s >= 1. It is feasible exactly when a point
+    of A meets every non-constant row strictly; y/s is then such a point,
+    and each link is cut out by its cell's rows tight there."""
+    n = p.ambient_dim
+    (pi, pe), (qi, qe) = p.hrep(), q.hrep()
+    dirs = nullspace_rational([r[:n] for r in pe + qe], ncols=n)
+    lift = lambda r: r[:n] + (-r[n],)
+    ineqs = [(lift(r), -1 if any(vec_dot(r[:n], u) for u in dirs) else 0) for r in pi + qi]
+    point = feasible_point(n + 1, ineqs + [((0,) * n + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
+    if point is None:
+        return None
+    point = rational_to_primitive(point)  # same tight rows, integer dots
+
+    def link(rows, eqs):
+        tight = [(r[:n], 0) for r in rows if vec_dot(lift(r), point) == 0]
+        return Polyhedron.from_hrep(n, tight, [(r[:n], 0) for r in eqs], known_nonempty=True)
+
+    return link(pi, pe), link(qi, qe)
 
 
 def point_in_sum(p, q, v):

@@ -6,16 +6,17 @@ spans fill the ambient space, whose intersection has the expected
 dimension, and whose links C_x, C_y at an interior point of it still
 meet after C_y is moved by a certified generic displacement vector v
 adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
-The test v in C_x - C_y is the emptiness test of C_x and C_y + v
-(`point_in_sum`), one LP in the ambient coordinates. The terms are then
-overlaid one affine hull at a time (`normalize_weighted`), so the
-overlay never sees two hulls at once.
+Both tests read the cells' canonical rows and convert nothing: one LP
+(`transverse_links`) decides the dimension and gives the links, and
+v in C_x - C_y is the emptiness test of C_x and C_y + v (`point_in_sum`);
+where the intersection is a point, this is the mixed-cell test of the
+tropical Bernstein count. Only a pair that passes builds its
+intersection. The terms are overlaid one affine hull at a time
+(`normalize_weighted`), so the overlay never sees two hulls at once.
 
-Two independent routes exist for cross-validation: an explicit
-perturbation (intersect X with Y shifted by eps * v, then let eps go to
-zero through recession cones; exact for fan cycles) and the diagonal
-route (intersect X x Y with the diagonal subspace of Q^2n and read the
-result back through the first factor).
+The perturbation route cross-checks the engine: intersect X with Y
+shifted by eps * v, then let eps go to zero through recession cones
+(exact for fan cycles). The diagonal route is a test oracle.
 
 The displacement rule holds for weights of either sign: the weight
 formula is bilinear in the weights of the two inputs, so cycles with
@@ -32,7 +33,6 @@ from stabletrop.cycles import (
     GenericVector,
     TropicalCycle,
     ambient_cycle,
-    cartesian_product,
     cycle,
     normalize_weighted,
     pick_generic_vector,
@@ -44,7 +44,7 @@ from stabletrop.lattices import (
     standard_lattice,
     sum_lattices,
 )
-from stabletrop.polyhedra import Polyhedron, point_in_sum
+from stabletrop.polyhedra import point_in_sum, transverse_links
 
 
 # Python's default limit on the digits of an int written as text
@@ -124,19 +124,16 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     n = x.ambient_dim
     if x.is_zero or y.is_zero or x.dim + y.dim < n:
         return IntersectionReport(zero_cycle(n), ())
-    k_res = x.dim + y.dim - n
     gen = displacement_vector(x, y)
     amb = standard_lattice(n)
     weighted = []
     contribs = {}
     for i, j, lat in _spanning_pairs(x, y):
         sx, sy = x.cells[i], y.cells[j]
-        w = sx.intersect(sy)
-        if w.dim != k_res:
+        links = transverse_links(sx, sy)
+        if links is None or not point_in_sum(*links, gen.vector):
             continue
-        gamma = w.interior_point()
-        if not point_in_sum(sx.link_at(gamma), sy.link_at(gamma), gen.vector):
-            continue
+        w = sx.intersect(sy, known_nonempty=True)
         idx = lattice_index(amb, lat)
         term = x.multiplicities[i] * y.multiplicities[j] * idx
         weighted.append((w, term))
@@ -154,54 +151,31 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
     """k-fold stable self-intersection; the empty product is Q^n with
     weight one.
 
-    In codimension zero the product is pointwise, so the power raises the
-    weights of the overlay; they grow with k unless each is 1 or -1, and
-    a weight with more than MAX_DIGITS digits, too long to write out, is
-    refused.
+    Q^n . x is the overlay of x (`normalize_weighted`), so k >= 1 runs
+    k - 1 engine products. In codimension zero every product is
+    pointwise, so the power raises the weights of that overlay; they grow
+    with k unless each is 1 or -1, and a weight with more than MAX_DIGITS
+    digits, too long to write out, is refused.
     """
     if k < 0:
         raise ValidationError("negative stable power")
-    if k > 0 and x.codim == 0:
-        y = normalize_weighted(x.ambient_dim, x.weighted_cells())
-        for m in y.multiplicities:
+    if k == 0:
+        return ambient_cycle(x.ambient_dim)
+    acc = normalize_weighted(x.ambient_dim, x.weighted_cells())
+    if x.codim == 0:
+        for m in acc.multiplicities:
             for part in (abs(m.numerator), m.denominator):
                 # part**k >= 2**((bits - 1) * k); only small powers get computed
                 if (part.bit_length() - 1) * k >= TOO_LONG.bit_length() or part**k >= TOO_LONG:
                     raise ValidationError(
                         f"weight {m} to the power {k} has more than {MAX_DIGITS} digits"
                     )
-        return TropicalCycle(y.ambient_dim, y.cells, tuple(m**k for m in y.multiplicities))
-    acc = ambient_cycle(x.ambient_dim)
-    for _ in range(k):
-        acc = stable_intersection(acc, x)
+        return TropicalCycle(acc.ambient_dim, acc.cells, tuple(m**k for m in acc.multiplicities))
+    for _ in range(k - 1):
         if acc.is_zero:
             break
+        acc = stable_intersection(acc, x)
     return acc
-
-
-# ------------------------------------------------------------ diagonal route
-
-
-def diagonal_cycle(n) -> TropicalCycle:
-    """The diagonal subspace {(u, u)} of Q^(2n) with weight one."""
-    gens = [tuple(1 if j == i or j == i + n else 0 for j in range(2 * n)) for i in range(n)]
-    cell = Polyhedron.from_vrep(2 * n, [tuple(0 for _ in range(2 * n))], lin=gens)
-    return cycle(2 * n, [(cell, 1)])
-
-
-def diagonal_intersection(x: TropicalCycle, y: TropicalCycle) -> TropicalCycle:
-    """Stable intersection computed as (X x Y) . diagonal, read back
-    through the first factor; the diagonal lattice maps to Z^n
-    unimodularly, so weights carry over unchanged."""
-    if x.ambient_dim != y.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    n = x.ambient_dim
-    if x.is_zero or y.is_zero:
-        return zero_cycle(n)
-    prod = cartesian_product(x, y)
-    z = stable_intersection(prod, diagonal_cycle(n))
-    proj = [tuple(1 if j == i else 0 for j in range(2 * n)) for i in range(n)]
-    return cycle(n, [(c.image(proj), m) for c, m in z.weighted_cells()])
 
 
 # -------------------------------------------------------- perturbation route

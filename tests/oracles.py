@@ -14,7 +14,14 @@ cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
 rows made equalities, the reference for faces read off the V-rep.
 `split_point_in_sum` decides membership in a signed Minkowski sum by one
 LP over the stacked coordinates of all operands, the reference for the
-library's displacement test by intersection. `fraction_feasible_point`
+library's displacement test by intersection. `intersect_then_link` is
+the engine's former pair decision, converting the pair's intersection
+for its dimension and testing the links at its interior point, the
+reference for `transverse_links`. `diagonal_intersection` is the
+diagonal route of stable intersection, (X x Y) . diagonal read back
+through the first factor, a cross-check of the engine on other inputs,
+and `link_cycle` the local picture of a cycle at a point.
+`fraction_feasible_point`
 is the phase-1 simplex run on a Fraction tableau, the reference for the
 library's integer tableau. `contains_vector` and
 `is_subgroup_of` decide lattice membership by an integer solve.
@@ -25,8 +32,15 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
-from stabletrop.cycles import _normal_in_quotient, _overlay, _ridge_index, cycle
-from stabletrop.errors import ValidationError
+from stabletrop.cycles import (
+    _normal_in_quotient,
+    _overlay,
+    _ridge_index,
+    cartesian_product,
+    cycle,
+    zero_cycle,
+)
+from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
     nullspace_rational,
     quotient_matrix,
@@ -41,7 +55,8 @@ from stabletrop.lattices import (
     vec_sub,
 )
 from stabletrop.linprog import feasible_point
-from stabletrop.polyhedra import Polyhedron
+from stabletrop.polyhedra import Polyhedron, point_in_sum
+from stabletrop.stable import stable_intersection
 
 
 def mat_mul(a, b):
@@ -508,3 +523,46 @@ def arrangement_components(x):
                     stack.append(j)
         out.append(cycle(x.ambient_dim, comp))
     return out
+
+
+def diagonal_cycle(n):
+    """The diagonal subspace {(u, u)} of Q^(2n) with weight one."""
+    gens = [tuple(1 if j == i or j == i + n else 0 for j in range(2 * n)) for i in range(n)]
+    cell = Polyhedron.from_vrep(2 * n, [tuple(0 for _ in range(2 * n))], lin=gens)
+    return cycle(2 * n, [(cell, 1)])
+
+
+def diagonal_intersection(x, y):
+    """Stable intersection computed as (X x Y) . diagonal, read back
+    through the first factor; the diagonal lattice maps to Z^n
+    unimodularly, so weights carry over unchanged."""
+    if x.ambient_dim != y.ambient_dim:
+        raise DimensionError("ambient dimensions differ")
+    n = x.ambient_dim
+    if x.is_zero or y.is_zero:
+        return zero_cycle(n)
+    prod = cartesian_product(x, y)
+    z = stable_intersection(prod, diagonal_cycle(n))
+    proj = [tuple(1 if j == i else 0 for j in range(2 * n)) for i in range(n)]
+    return cycle(n, [(c.image(proj), m) for c, m in z.weighted_cells()])
+
+
+def link_cycle(x, w):
+    """Cone cycle of directions along which x is entered from w."""
+    pairs = []
+    for c, m in zip(x.cells, x.multiplicities):
+        if c.contains(w):
+            pairs.append((c.link_at(w), m))
+    return cycle(x.ambient_dim, pairs)
+
+
+def intersect_then_link(p, q, v):
+    """The engine's pair decision before `transverse_links`: convert
+    P ∩ Q to read its dimension, take its interior point, and test the
+    links there. True when the pair contributes."""
+    k_res = p.dim + q.dim - p.ambient_dim
+    w = p.intersect(q)
+    if w.dim != k_res:
+        return False
+    gamma = w.interior_point()
+    return point_in_sum(p.link_at(gamma), q.link_at(gamma), v)

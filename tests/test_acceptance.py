@@ -9,7 +9,7 @@ byte for byte.
 import random
 from fractions import Fraction
 
-from oracles import full_dim_volume, mixed_volume_oracle
+from oracles import diagonal_intersection, full_dim_volume, link_cycle, mixed_volume_oracle
 
 from stabletrop.algebra import (
     add_elements,
@@ -35,7 +35,6 @@ from stabletrop.cycles import (
     cycle_sum,
     cycles_equal,
     is_balanced,
-    link_cycle,
     pushforward,
     scalar,
 )
@@ -60,7 +59,6 @@ from stabletrop.polytopes import (
     tropical_hypersurface,
 )
 from stabletrop.stable import (
-    diagonal_intersection,
     perturbation_intersection,
     stable_intersection,
     stable_power,

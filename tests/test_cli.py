@@ -215,6 +215,16 @@ def test_rejected_numbers_are_quoted_briefly(tmp_path, capsys):
         assert len(err.encode()) < 1024 and f"({length} characters)" in err
 
 
+def test_unknown_keys_are_quoted_briefly(tmp_path, capsys):
+    # one extra key of a million characters: the message quotes a prefix
+    # of it, its length and the number of unknown keys
+    path = write(tmp_path, "key.json", dict(tropical_line_doc(), **{"k" * 10**6: 1}))
+    code, out, err = run(capsys, ["check-balanced", path])
+    assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+    assert len(err.encode()) < 1024 and "1 unknown cycle document key(s)" in err
+    assert f"({10**6} characters)" in err
+
+
 def test_dimension_mismatch_exits_4(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     three = write(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import link_cycle
 
 from stabletrop import polyhedra
 from stabletrop.errors import DimensionError, ValidationError
@@ -18,7 +19,6 @@ from stabletrop.cycles import (
     cycle_sum,
     cycles_equal,
     is_balanced,
-    link_cycle,
     pick_generic_vector,
     pushforward,
     scalar,

@@ -8,7 +8,7 @@ share no conversion code.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     hrep_dim,
     hrep_facets,
     hrep_minimal_face_at,
+    intersect_then_link,
     lp_cut,
     split_point_in_sum,
     triangulation_volume,
@@ -23,7 +24,7 @@ from oracles import (
 )
 from stabletrop import polyhedra
 from stabletrop.errors import ValidationError
-from stabletrop.lattices import LatticeSubgroup, vec_dot
+from stabletrop.lattices import LatticeSubgroup, sum_lattices, vec_dot
 from stabletrop.polyhedra import (
     Polyhedron,
     _cut,
@@ -31,6 +32,7 @@ from stabletrop.polyhedra import (
     is_polyhedral_complex,
     point_in_sum,
     refine_cells,
+    transverse_links,
 )
 from stabletrop.polytopes import polytope, tropical_hypersurface
 
@@ -420,6 +422,50 @@ def test_point_in_sum_matches_split_lp(data):
             probes += [x] + [tuple(a + t * b for a, b in zip(x, row[:n])) for t in (Fraction(1, 7), Fraction(-1, 7))]
     for v in probes:
         assert point_in_sum(p, q, v) == split_point_in_sum([p, q], v, [1, -1])
+
+
+@st.composite
+def meeting_pairs(draw, n):
+    """Two cells of `cut_cells` whose direction lattices sum to Z^n, as
+    the engine pairs them, the second often translated. Or a cell P and
+    a facet F of it shifted along F, maybe widened by a ray along F or
+    any ray: such a pair meets inside F, touches P in a lower dimension,
+    overlaps P, or misses it."""
+    p = draw(cut_cells(n))
+    facets = p.facets()
+    if facets and draw(st.booleans()):
+        f = draw(st.sampled_from(facets))
+        gens = f.direction_lattice().generators
+        along = st.lists(st.integers(-1, 1), min_size=len(gens), max_size=len(gens)).map(
+            lambda cs: tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n))
+        )
+        q = f.translate(draw(along))
+        ray = draw(st.one_of(st.none(), ivec(n), along))
+        if ray is not None:
+            q = q.minkowski(Polyhedron.cone_from_rays(n, [ray]))
+    else:
+        q = draw(cut_cells(n))
+        q = q.translate(draw(st.lists(st.sampled_from((-1, 0, Fraction(1, 2), 1)), min_size=n, max_size=n)))
+    assume(sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
+    return p, q
+
+
+@given(st.data())
+def test_transverse_links_match_intersect_then_link(data):
+    # the pair test on the cells' rows against the engine's former chain,
+    # which converts P ∩ Q for its dimension and tests the links at its
+    # interior point: the same decision for every displacement, and where
+    # it passes, the same links
+    n = data.draw(st.sampled_from((2, 3)))
+    p, q = data.draw(meeting_pairs(n))
+    links = transverse_links(p, q)
+    w = p.intersect(q)
+    assert (links is not None) == (w.dim == p.dim + q.dim - n)
+    for v in [data.draw(ivec(n)) for _ in range(3)]:
+        assert (links is not None and point_in_sum(*links, v)) == intersect_then_link(p, q, v)
+    if links is not None:
+        gamma = w.interior_point()
+        assert links == (p.link_at(gamma), q.link_at(gamma))
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import diagonal_intersection
 
 from stabletrop.cycles import (
     ambient_cycle,
@@ -30,7 +31,7 @@ from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import polytope, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
-    diagonal_intersection,
+    _spanning_pairs,
     perturbation_intersection,
     stable_intersection,
     stable_intersection_report,
@@ -321,9 +322,13 @@ def test_signed_q3_pair_runs_the_engine_once():
 
 
 def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
-    # each LP of the engine decides the emptiness of a pair's intersection
-    # or of C_x meeting C_y + v, both in the 3 ambient coordinates (the
-    # block LP of the signed sum C_x - C_y took 6); the count pins the work
+    # each spanning pair is decided by one LP on the cells' rows in the
+    # homogenized coordinates (y, s), 4 variables in Q^3, and each pair
+    # that passes runs the displacement test C_x meeting C_y + v, one LP in
+    # the 3 ambient coordinates unless the origin decides it; no LP checks
+    # the emptiness of a pair's intersection (converting each intersection
+    # for its dimension made 49 LPs, all in 3 variables). The counts pin
+    # the work
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
     q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
     x = tropical_hypersurface(p)
@@ -333,7 +338,26 @@ def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a, **k: calls.append(n) or lp(n, *a, **k))
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 14
-    assert calls == [3] * 49
+    assert len(_spanning_pairs(x, y)) == calls.count(4) == 35
+    assert calls.count(3) == 14 and len(calls) == 49
+
+
+def test_engine_converts_only_contributing_intersections(monkeypatch):
+    # with the cells' representations computed beforehand, the engine
+    # converts nothing to decide a pair: the _dd calls are the V-rep of
+    # each contributing intersection (its key) and the H-rep that the
+    # overlay groups it by, 2 for each of the 6 result cells (converting
+    # every spanning pair's intersection took 41 calls)
+    x = tropical_hypersurface(polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)]))
+    y = tropical_hypersurface(polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)]))
+    for c in x.cells + y.cells:
+        c.hrep(), c.vrep()
+    calls = []
+    dd = polyhedra._dd
+    monkeypatch.setattr(polyhedra, "_dd", lambda *a: calls.append(a[0]) or dd(*a))
+    report = stable_intersection_report(x, y)
+    assert len(report.result.cells) == 6
+    assert len(calls) == 12
 
 
 # ------------------------------------------------------------- cross routes
