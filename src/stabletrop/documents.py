@@ -217,13 +217,6 @@ def document_to_polytope(doc) -> RationalPolytope:
     return polytope(n, points)
 
 
-def polytope_to_document(p: RationalPolytope) -> dict:
-    return {
-        "ambient_dim": p.ambient_dim,
-        "vertices": [[number_text(a) for a in v] for v in sorted(p.vertices)],
-    }
-
-
 # ------------------------------------------------------------ matrices
 
 
@@ -242,7 +235,3 @@ def document_to_matrix(doc):
         _expect(all(_plain_int(a) for a in r), "matrix entries must be integers")
         rows.append(tuple(r))
     return tuple(rows)
-
-
-def matrix_to_document(rows) -> dict:
-    return {"rows": [list(r) for r in rows]}

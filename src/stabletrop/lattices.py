@@ -95,6 +95,32 @@ def int_rank(rows) -> int:
     return rank
 
 
+def _eliminate(echelon, v):
+    """v minus the rational combination of echelon rows that clears their
+    pivots, scaled to stay an integer vector (zero exactly when v lies in
+    their span)."""
+    for c, e in echelon:
+        if v[c]:
+            g = gcd(e[c], v[c])
+            f, h = e[c] // g, v[c] // g
+            v = tuple(f * a - h * b for a, b in zip(v, e))
+    return v
+
+
+def in_span(rows, vectors) -> list:
+    """For each integer vector, whether it lies in the rational span of the
+    integer rows: one fraction-free echelon of the rows, (pivot, row)
+    pairs with each row zero at the pivots before it, then one integer
+    reduction per vector; no Fraction."""
+    echelon = []
+    for r in rows:
+        r = _eliminate(echelon, tuple(r))
+        c = next((j for j, a in enumerate(r) if a), None)
+        if c is not None:
+            echelon.append((c, r))
+    return [vec_is_zero(_eliminate(echelon, tuple(v))) for v in vectors]
+
+
 def rank_rows(rows) -> int:
     """Rank of a matrix with integer or Fraction entries."""
     scaled = []

@@ -32,8 +32,8 @@ from fractions import Fraction
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
     LatticeSubgroup,
+    in_span,
     int_rank,
-    nullspace_rational,
     rational_to_primitive,
     rref,
     saturation,
@@ -183,7 +183,7 @@ class Polyhedron:
     @staticmethod
     def from_hrep(ambient_dim, ineqs=(), eqs=(), known_nonempty=False):
         """Polyhedron {x : a.x <= b, c.x == d}; constraints are (vector, rhs)
-        pairs with rational entries."""
+        pairs with int or Fraction entries."""
         self = Polyhedron(ambient_dim)
         rows_i = []
         rows_e = []
@@ -192,19 +192,19 @@ class Polyhedron:
             if len(a) != ambient_dim:
                 raise DimensionError("inequality has wrong length")
             if vec_is_zero(a):
-                if Fraction(b) < 0:
+                if b < 0:
                     self._empty = True
                 continue
-            rows_i.append(rational_to_primitive(a + (Fraction(b),)))
+            rows_i.append(rational_to_primitive(a + (b,)))
         for c, d in eqs:
             c = tuple(c)
             if len(c) != ambient_dim:
                 raise DimensionError("equality has wrong length")
             if vec_is_zero(c):
-                if Fraction(d) != 0:
+                if d != 0:
                     self._empty = True
                 continue
-            rows_e.append(rational_to_primitive(c + (Fraction(d),)))
+            rows_e.append(rational_to_primitive(c + (d,)))
         self._raw_ineqs = tuple(rows_i)
         self._raw_eqs = tuple(rows_e)
         if known_nonempty and self._empty is None:
@@ -602,14 +602,16 @@ def transverse_links(p, q):
     canonical rows in homogenized coordinates (y, s), with no conversion:
     c·y = d·s for the equality rows, a·y - b·s <= -1 for each inequality
     row not constant on A and <= 0 for one that is (so a pair meeting
-    inside a face passes), and s >= 1. It is feasible exactly when a point
-    of A meets every non-constant row strictly; y/s is then such a point,
-    and each link is cut out by its cell's rows tight there."""
+    inside a face passes), and s >= 1. A row is constant on A when its
+    normal lies in the span of the equality normals, decided in integers
+    (`in_span`). The LP is feasible exactly when a point of A meets every
+    non-constant row strictly; y/s is then such a point, and each link is
+    cut out by its cell's rows tight there."""
     n = p.ambient_dim
     (pi, pe), (qi, qe) = p.hrep(), q.hrep()
-    dirs = nullspace_rational([r[:n] for r in pe + qe], ncols=n)
+    constant = in_span([r[:n] for r in pe + qe], [r[:n] for r in pi + qi])
     lift = lambda r: r[:n] + (-r[n],)
-    ineqs = [(lift(r), -1 if any(vec_dot(r[:n], u) for u in dirs) else 0) for r in pi + qi]
+    ineqs = [(lift(r), 0 if c else -1) for r, c in zip(pi + qi, constant)]
     point = feasible_point(n + 1, ineqs + [((0,) * n + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
     if point is None:
         return None
@@ -625,9 +627,18 @@ def transverse_links(p, q):
 def point_in_sum(p, q, v):
     """Whether v lies in the Minkowski difference P - Q, that is whether
     P meets Q + v: the displacement test of the fan displacement rule.
-    Decided by the emptiness test of the intersection, one LP in the
-    ambient coordinates or none when the origin is feasible."""
-    return not p.intersect(q.translate(v)).is_empty
+    One LP on P's rows and Q's rows with right-hand sides shifted by a·v,
+    or none when the origin is feasible; no polyhedron is built."""
+    if p._empty or q._empty:
+        return False
+    n = p.ambient_dim
+    (pi, pe), (qi, qe) = p._constraints(), q._constraints()
+    shift = lambda r: (r[:n], r[n] + vec_dot(r[:n], v))
+    ineqs = [(r[:n], r[n]) for r in pi] + [shift(r) for r in qi]
+    eqs = [(r[:n], r[n]) for r in pe] + [shift(r) for r in qe]
+    if all(b >= 0 for _, b in ineqs) and all(d == 0 for _, d in eqs):
+        return True
+    return feasible_point(n, ineqs, eqs) is not None
 
 
 def _hyperplanes_of(cells):

@@ -6,13 +6,17 @@ spans fill the ambient space, whose intersection has the expected
 dimension, and whose links C_x, C_y at an interior point of it still
 meet after C_y is moved by a certified generic displacement vector v
 adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
-Both tests read the cells' canonical rows and convert nothing: one LP
-(`transverse_links`) decides the dimension and gives the links, and
-v in C_x - C_y is the emptiness test of C_x and C_y + v (`point_in_sum`);
-where the intersection is a point, this is the mixed-cell test of the
-tropical Bernstein count. Only a pair that passes builds its
-intersection. The terms are overlaid one affine hull at a time
-(`normalize_weighted`), so the overlay never sees two hulls at once.
+Both tests read the cells' integer canonical rows and convert nothing:
+one LP (`transverse_links`) decides the dimension and gives the links,
+with the rows constant on aff sigma ∩ aff tau found by integer
+elimination, and v in C_x - C_y is one LP on the links' rows with Q's
+right-hand sides shifted by a·v (`point_in_sum`); where the
+intersection is a point, this is the mixed-cell test of the tropical
+Bernstein count. Only a pair that passes builds its intersection. The
+vector v avoids the spans of the rank-deficient face-lattice pairs, each
+found by a fraction-free rank test before its Hermite form is taken
+(`displacement_vector`). The terms are overlaid one affine hull at a
+time (`normalize_weighted`), so the overlay never sees two hulls at once.
 
 The perturbation route cross-checks the engine: intersect X with Y
 shifted by eps * v, then let eps go to zero through recession cones
@@ -40,6 +44,7 @@ from stabletrop.cycles import (
 )
 from stabletrop.errors import DimensionError, GenericityError, ValidationError
 from stabletrop.lattices import (
+    int_rank,
     lattice_index,
     standard_lattice,
     sum_lattices,
@@ -82,17 +87,14 @@ class IntersectionReport:
 def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     """Certified generic displacement for the pair (x, y): avoids the span
     of every deficient face pair, hence the codimension-one skeleton of
-    the Minkowski differences of all links."""
+    the Minkowski differences of all links. A pair's rank is decided by
+    fraction-free elimination (`int_rank`); only a deficient pair takes
+    the Hermite form of its sum, the span to avoid."""
     n = x.ambient_dim
     lx, ly = (
         dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()) for z in (x, y)
     )
-    avoid = []
-    for a in lx:
-        for b in ly:
-            s = sum_lattices(a, b)
-            if s.rank < n:
-                avoid.append(s)
+    avoid = [sum_lattices(a, b) for a in lx for b in ly if int_rank(a.generators + b.generators) < n]
     return pick_generic_vector(n, avoid)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabletrop.algebra import (
+    AlgebraElement,
     add_elements,
     algebra_one,
     build_hypersurface_basis,
@@ -30,6 +31,7 @@ from stabletrop.cycles import (
     scalar,
     zero_cycle,
 )
+from stabletrop import stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import (
@@ -38,6 +40,7 @@ from stabletrop.polytopes import (
     standard_simplex,
     tropical_hypersurface,
 )
+from stabletrop.stable import stable_intersection
 
 
 def fan_ray(direction):
@@ -80,6 +83,31 @@ def test_exp_log_round_trip():
     e = exp_element(t)
     assert element_equal(log_element(e), t)
     assert element_equal(exp_element(log_element(e)), e)
+
+
+def test_grade_zero_factor_skips_the_engine(monkeypatch):
+    # c . Q^n times x is c times the overlay of x, which is what the engine
+    # returns for it: exp of a Q^2 class runs the engine once, for h . h,
+    # and a product with c . Q^2 on either side runs it not at all
+    h = tropical_hypersurface(polytope(2, [(0, 0), (3, 0), (1, 2)]))
+    a = element(2, [h])
+    calls = []
+    engine = stable.stable_intersection_report
+    monkeypatch.setattr(stable, "stable_intersection_report", lambda x, y: calls.append(1) or engine(x, y))
+    e = exp_element(a)
+    three = element_product(scale_element(3, algebra_one(2)), a)
+    swapped = element_product(a, scale_element(-2, algebra_one(2)))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    q2h = stable_intersection(ambient_cycle(2), h)
+    route = add_elements(
+        add_elements(algebra_one(2), element(2, [q2h])),
+        scale_element(Fraction(1, 2), element(2, [stable_intersection(q2h, h)])),
+    )
+    assert element_equal(e, route) and e == route
+    for c, got in ((3, three), (-2, swapped)):
+        by_engine = AlgebraElement(2, (zero_cycle(2), stable_intersection(ambient_cycle(2, c), h), zero_cycle(2)))
+        assert element_equal(got, by_engine) and got == by_engine
 
 
 def test_exp_requires_nilpotent():

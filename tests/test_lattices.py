@@ -17,6 +17,7 @@ from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
     identity_matrix,
+    in_span,
     int_rank,
     integer_kernel,
     intersect_lattices,
@@ -120,6 +121,31 @@ def test_int_rank_examples():
     assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
     assert int_rank([(0, 0), (0, 0)]) == 0
     assert rank_rows([(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2))]) == 1
+
+
+def test_span_test_examples():
+    rows = [(0, 0, 0), (2, 4, 6), (1, 2, 3), (0, 1, 1)]
+    assert in_span(rows, [(3, 7, 10), (0, 0, 0), (0, 0, 1)]) == [True, True, False]
+    assert in_span([], [(1,), (0,)]) == [False, True]
+
+
+@given(st.data())
+def test_span_test_matches_rank(data):
+    # zero, repeated and dependent rows, v both inside the span (an integer
+    # combination of the rows) and drawn freely
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(small_int, min_size=n, max_size=n).map(tuple)
+    base = data.draw(st.lists(vec, max_size=4))
+    coeffs = st.lists(small_int, min_size=len(base), max_size=len(base))
+    combine = lambda cs: tuple(sum(c * r[j] for c, r in zip(cs, base)) for j in range(n))
+    rows = base + [combine(cs) for cs in data.draw(st.lists(coeffs, max_size=2))]
+    rows += data.draw(st.lists(st.sampled_from(base + [(0,) * n]), max_size=2))
+    rows = list(data.draw(st.permutations(rows)))
+    inside = data.draw(st.booleans())
+    v = combine(data.draw(coeffs)) if inside else data.draw(vec)
+    expected = rank_rows(rows + [v]) == rank_rows(rows)
+    assert in_span(rows, [v]) == [expected]
+    assert expected or not inside
 
 
 # -------------------------------------------------------------- smith forms

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import diagonal_intersection
 
 from stabletrop.cycles import (
+    GenericVector,
     ambient_cycle,
     cycle,
     cycle_sum,
@@ -25,13 +26,14 @@ from stabletrop.cycles import (
     scalar,
     zero_cycle,
 )
-from stabletrop import polyhedra
+from stabletrop import lattices, polyhedra, stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import polytope, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
     _spanning_pairs,
+    displacement_vector,
     perturbation_intersection,
     stable_intersection,
     stable_intersection_report,
@@ -321,6 +323,15 @@ def test_signed_q3_pair_runs_the_engine_once():
     assert len(z.cells) == 10 and cycles_equal(z, expected)
 
 
+def hypersurface_pair():
+    """The Q^3 pair of `test_engine_lps_are_in_the_ambient_coordinates`."""
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
+    x = tropical_hypersurface(p)
+    y = cycle(3, [(c.translate((1, 1, 0)), m) for c, m in tropical_hypersurface(q).weighted_cells()])
+    return x, y
+
+
 def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     # each spanning pair is decided by one LP on the cells' rows in the
     # homogenized coordinates (y, s), 4 variables in Q^3, and each pair
@@ -358,6 +369,34 @@ def test_engine_converts_only_contributing_intersections(monkeypatch):
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 6
     assert len(calls) == 12
+
+
+def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch):
+    # 11 x 11 face lattices give 121 pairs; fraction-free elimination finds
+    # the 45 of rank < 3, and only those take the Hermite form of their sum;
+    # the certificate is the one the Hermite form of every pair gives
+    x, y = hypersurface_pair()
+    calls = []
+    hnf = stable.sum_lattices
+    monkeypatch.setattr(stable, "sum_lattices", lambda a, b: calls.append(1) or hnf(a, b))
+    assert displacement_vector(x, y) == GenericVector((1, 3, 9), 3, 29)
+    assert len(calls) == 45
+
+
+def test_engine_decides_pairs_without_a_fraction_null_space(monkeypatch):
+    # with the cells' representations computed beforehand, the only Fraction
+    # rref of the run is the one in each result cell's H-rep: the rows
+    # constant on aff σ ∩ aff τ are found in integers, with no null space
+    x, y = hypersurface_pair()
+    for c in x.cells + y.cells:
+        c.hrep(), c.vrep()
+    calls = []
+    for module in (lattices, polyhedra):
+        monkeypatch.setattr(module, "rref", lambda rows, f=module.rref: calls.append(1) or f(rows))
+    monkeypatch.setattr(lattices, "nullspace_rational", lambda *a, **k: pytest.fail("null space"))
+    report = stable_intersection_report(x, y)
+    assert len(report.result.cells) == len(calls) == 14
+    assert not hasattr(polyhedra, "nullspace_rational")
 
 
 # ------------------------------------------------------------- cross routes
