@@ -29,7 +29,6 @@ from stabletrop.cycles import (
     cycle,
     cycle_sum,
     cycles_equal,
-    normalize_weighted,
     scalar,
     zero_cycle,
 )
@@ -90,19 +89,6 @@ def scale_element(c, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.ambient_dim, tuple(scalar(c, z) for z in a.grades))
 
 
-def _grade_product(u: TropicalCycle, v: TropicalCycle) -> TropicalCycle:
-    """u . v by the engine, except for a factor that normalizes to the one
-    cell Q^n with weight c: the engine returns c times the overlay of the
-    other factor, which is read off directly."""
-    n = u.ambient_dim
-    for s, t in ((u, v), (v, u)):
-        if s.codim == 0:
-            s = normalize_weighted(n, s.weighted_cells())
-            if s.cells == (Polyhedron.ambient(n),):
-                return scalar(s.multiplicities[0], normalize_weighted(n, t.weighted_cells()))
-    return stable_intersection(u, v)
-
-
 def element_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionError("ambient dimensions differ")
@@ -114,7 +100,7 @@ def element_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         for j, v in enumerate(b.grades):
             if v.is_zero or i + j > n:
                 continue
-            grades[i + j] = cycle_sum(grades[i + j], _grade_product(u, v))
+            grades[i + j] = cycle_sum(grades[i + j], stable_intersection(u, v))
     return AlgebraElement(n, tuple(grades))
 
 

@@ -68,13 +68,15 @@ def rational_to_primitive(v) -> IntVector:
     return primitive(tuple(a.numerator * (scale // a.denominator) for a in v))
 
 
-def int_rank(rows) -> int:
-    """Rank of an integer matrix, by fraction-free (Bareiss) elimination."""
+def _echelon(rows):
+    """Row echelon of an integer matrix by fraction-free (Bareiss)
+    elimination: (pivot, row) pairs, each row zero before its pivot."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
     prev = 1
+    pivots = []
     for c in range(nc):
         piv = None
         for i in range(rank, nr):
@@ -89,36 +91,33 @@ def int_rank(rows) -> int:
                 m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
             m[i][c] = 0
         prev = m[rank][c]
+        pivots.append(c)
         rank += 1
         if rank == nr:
             break
-    return rank
+    return list(zip(pivots, m))
 
 
-def _eliminate(echelon, v):
-    """v minus the rational combination of echelon rows that clears their
-    pivots, scaled to stay an integer vector (zero exactly when v lies in
-    their span)."""
-    for c, e in echelon:
-        if v[c]:
-            g = gcd(e[c], v[c])
-            f, h = e[c] // g, v[c] // g
-            v = tuple(f * a - h * b for a, b in zip(v, e))
-    return v
+def int_rank(rows) -> int:
+    """Rank of an integer matrix: the length of its echelon."""
+    return len(_echelon(rows))
 
 
 def in_span(rows, vectors) -> list:
     """For each integer vector, whether it lies in the rational span of the
-    integer rows: one fraction-free echelon of the rows, (pivot, row)
-    pairs with each row zero at the pivots before it, then one integer
-    reduction per vector; no Fraction."""
-    echelon = []
-    for r in rows:
-        r = _eliminate(echelon, tuple(r))
-        c = next((j for j, a in enumerate(r) if a), None)
-        if c is not None:
-            echelon.append((c, r))
-    return [vec_is_zero(_eliminate(echelon, tuple(v))) for v in vectors]
+    integer rows: one echelon of the rows, then one reduction per vector,
+    each echelon row's pivot cleared by an integer combination divided by
+    the gcd of the two pivot entries; no Fraction."""
+    echelon = _echelon(rows)
+    out = []
+    for v in vectors:
+        for c, e in echelon:
+            if v[c]:
+                g = gcd(e[c], v[c])
+                f, h = e[c] // g, v[c] // g
+                v = tuple(f * a - h * b for a, b in zip(v, e))
+        out.append(vec_is_zero(v))
+    return out
 
 
 def rank_rows(rows) -> int:

@@ -252,15 +252,9 @@ class Polyhedron:
         if self._empty is None:
             # raw H present
             n = self.ambient_dim
-            if all(r[n] >= 0 for r in self._raw_ineqs) and all(
-                r[n] == 0 for r in self._raw_eqs
-            ):
-                # the origin is feasible; covers every cone for free
-                self._empty = False
-            else:
-                ineqs = [(r[:n], r[n]) for r in self._raw_ineqs]
-                eqs = [(r[:n], r[n]) for r in self._raw_eqs]
-                self._empty = feasible_point(n, ineqs, eqs) is None
+            ineqs = [(r[:n], r[n]) for r in self._raw_ineqs]
+            eqs = [(r[:n], r[n]) for r in self._raw_eqs]
+            self._empty = not _rows_feasible(n, ineqs, eqs)
         return self._empty
 
     # ------------------------------------------------------- conversions
@@ -636,6 +630,13 @@ def point_in_sum(p, q, v):
     shift = lambda r: (r[:n], r[n] + vec_dot(r[:n], v))
     ineqs = [(r[:n], r[n]) for r in pi] + [shift(r) for r in qi]
     eqs = [(r[:n], r[n]) for r in pe] + [shift(r) for r in qe]
+    return _rows_feasible(n, ineqs, eqs)
+
+
+def _rows_feasible(n, ineqs, eqs):
+    """Whether {x : a.x <= b, c.x == d} is nonempty, for (vector, rhs)
+    rows: true without an LP when the origin is feasible (every cone),
+    else one `feasible_point`."""
     if all(b >= 0 for _, b in ineqs) and all(d == 0 for _, d in eqs):
         return True
     return feasible_point(n, ineqs, eqs) is not None

@@ -17,6 +17,8 @@ vector v avoids the spans of the rank-deficient face-lattice pairs, each
 found by a fraction-free rank test before its Hermite form is taken
 (`displacement_vector`). The terms are overlaid one affine hull at a
 time (`normalize_weighted`), so the overlay never sees two hulls at once.
+A product with the one cell c · Q^n is read off as c times that overlay
+of the other factor, with no run (`stable_intersection`).
 
 The perturbation route cross-checks the engine: intersect X with Y
 shifted by eps * v, then let eps go to zero through recession cones
@@ -40,6 +42,7 @@ from stabletrop.cycles import (
     cycle,
     normalize_weighted,
     pick_generic_vector,
+    scalar,
     zero_cycle,
 )
 from stabletrop.errors import DimensionError, GenericityError, ValidationError
@@ -49,7 +52,7 @@ from stabletrop.lattices import (
     standard_lattice,
     sum_lattices,
 )
-from stabletrop.polyhedra import point_in_sum, transverse_links
+from stabletrop.polyhedra import Polyhedron, point_in_sum, transverse_links
 
 
 # Python's default limit on the digits of an int written as text
@@ -146,6 +149,13 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
 
 
 def stable_intersection(x: TropicalCycle, y: TropicalCycle) -> TropicalCycle:
+    """The engine's result, read off without a run where a factor is the
+    one cell Q^n with weight c: the engine returns c times the overlay of
+    the other factor (`normalize_weighted`)."""
+    for s, t in ((x, y), (y, x)):
+        n = s.ambient_dim
+        if s.codim == 0 and t.ambient_dim == n and s.cells == (Polyhedron.ambient(n),):
+            return scalar(s.multiplicities[0], normalize_weighted(n, t.weighted_cells()))
     return stable_intersection_report(x, y).result
 
 
@@ -153,17 +163,17 @@ def stable_power(x: TropicalCycle, k: int) -> TropicalCycle:
     """k-fold stable self-intersection; the empty product is Q^n with
     weight one.
 
-    Q^n . x is the overlay of x (`normalize_weighted`), so k >= 1 runs
-    k - 1 engine products. In codimension zero every product is
-    pointwise, so the power raises the weights of that overlay; they grow
-    with k unless each is 1 or -1, and a weight with more than MAX_DIGITS
-    digits, too long to write out, is refused.
+    Q^n . x, the overlay of x, takes no engine run (`stable_intersection`),
+    so k >= 1 runs k - 1 engine products. In codimension zero every
+    product is pointwise, so the power raises the weights of that overlay;
+    they grow with k unless each is 1 or -1, and a weight with more than
+    MAX_DIGITS digits, too long to write out, is refused.
     """
     if k < 0:
         raise ValidationError("negative stable power")
     if k == 0:
         return ambient_cycle(x.ambient_dim)
-    acc = normalize_weighted(x.ambient_dim, x.weighted_cells())
+    acc = stable_intersection(ambient_cycle(x.ambient_dim), x)
     if x.codim == 0:
         for m in acc.multiplicities:
             for part in (abs(m.numerator), m.denominator):

@@ -165,6 +165,31 @@ def test_stable_power_in_codimension_zero():
         assert stable_power(ambient_cycle(2, m), 10**12) == ambient_cycle(2)
 
 
+def test_ambient_factor_is_read_off_without_the_engine(monkeypatch):
+    # a factor c . Q^2, the one cell Q^2 with weight c (given once, or
+    # twice and merged), gives the engine's result with no run; Q^2 split
+    # into two half-planes of weight c, and every other factor, runs it
+    twice = cycle(2, [(Polyhedron.ambient(2), -1), (Polyhedron.ambient(2), Fraction(-1, 2))])
+    split = cycle(2, [(half_plane((1, 0)), -3), (half_plane((-1, 0)), -3)])
+    quadrant = Polyhedron.cone_from_rays(2, [(1, 0), (0, 1)])
+    cases = [
+        (ambient_cycle(2, 2), True),
+        (twice, True),
+        (split, False),
+        (tropical_line(), False),
+        (cycle(2, [(quadrant, 2)]), False),
+    ]
+    engine = stable.stable_intersection_report
+    for a, read_a in cases:
+        for b, read_b in cases:
+            calls = []
+            monkeypatch.setattr(stable, "stable_intersection_report", lambda x, y: calls.append(1) or engine(x, y))
+            got = stable_intersection(a, b)
+            monkeypatch.undo()
+            assert got == engine(a, b).result
+            assert len(calls) == (0 if read_a or read_b else 1), (a, b)
+
+
 def test_overlapping_presentation_weighs_each_pair_on_its_intersection():
     # the plane z = 0 overlapped by its two halves, against x = y: the
     # plane adds weight 1 on the whole line x = y, z = 0 and each half
