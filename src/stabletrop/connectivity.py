@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from stabletrop.cycles import TropicalCycle, cycle, cycle_sum, normalize_weighted
-from stabletrop.polyhedra import Polyhedron, covered_by
+from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import RationalPolytope, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_intersection, stable_power
 
@@ -68,11 +68,6 @@ def connected_components(x: TropicalCycle):
 
 def is_connected_through_codim1(x: TropicalCycle) -> bool:
     return len(connected_components(x)) <= 1
-
-
-def support_contains(x: TropicalCycle, region: Polyhedron) -> bool:
-    """Whether the region lies inside the support of x."""
-    return covered_by(region, x.cells)
 
 
 def supports_meet_only_at_origin(a: TropicalCycle, b: TropicalCycle) -> bool:

@@ -22,12 +22,12 @@ from fractions import Fraction
 from stabletrop.errors import DimensionError, GenericityError, ValidationError
 from stabletrop.lattices import (
     LatticeSubgroup,
+    int_rank,
     integer_kernel,
     intersect_lattices,
     lattice_index,
     mat_vec,
     quotient_matrix,
-    rank_rows,
     rational_to_primitive,
     vec_is_zero,
     vec_sub,
@@ -339,7 +339,7 @@ def pick_generic_vector(ambient_dim, avoid: list) -> GenericVector:
         p = next(gen)
         v = tuple(p**i for i in range(ambient_dim))
         if all(
-            rank_rows(list(lat.generators) + [v]) == lat.rank + 1 for lat in spans
+            int_rank(lat.generators + (v,)) == lat.rank + 1 for lat in spans
         ):
             return GenericVector(v, p, len(spans))
     raise GenericityError("exhausted the candidate prime budget")

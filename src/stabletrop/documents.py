@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from stabletrop.cycles import TropicalCycle, cycle, zero_cycle
 from stabletrop.errors import ParseError, ValidationError
-from stabletrop.lattices import rank_rows, rational_to_primitive
+from stabletrop.lattices import int_rank, rational_to_primitive
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import RationalPolytope, polytope
 from stabletrop.stable import MAX_DIGITS, TOO_LONG
@@ -124,9 +124,10 @@ def document_to_cycle(doc) -> TropicalCycle:
     raw_rays = doc.get("rays", [])
     _expect(isinstance(raw_rays, list), "rays must be an array")
     rays = [_int_vector(v, n, "ray") for v in raw_rays]
-    for r in rays:
+    for i, r in enumerate(rays):
         _expect(any(r), "rays must be nonzero")
-        _expect(r == rational_to_primitive(r), f"ray {list(r)} is not primitive")
+        if r != rational_to_primitive(r):
+            raise ParseError(f"ray {i} is not primitive")
     _expect(len(set(rays)) == len(rays), "rays must be distinct")
     raw_lin = doc.get("lineality", [])
     _expect(isinstance(raw_lin, list), "lineality must be an array")
@@ -137,14 +138,15 @@ def document_to_cycle(doc) -> TropicalCycle:
     _expect(isinstance(raw_cones, list), "cones must be an array")
     pairs = []
     seen = set()
-    for entry in raw_cones:
+    for k, entry in enumerate(raw_cones):
         _check_keys(entry, {"rays", "mult"}, "cone entry")
         idx = entry.get("rays")
         _expect(isinstance(idx, list) and all(_plain_int(i) for i in idx), "cone rays must be an array of ray indices")
         _expect(all(0 <= i < len(rays) for i in idx), "cone ray index out of range")
         _expect(len(set(idx)) == len(idx), "cone ray indices must be distinct")
         key = tuple(sorted(idx))
-        _expect(key not in seen, f"duplicate cone {list(key)}")
+        if key in seen:
+            raise ParseError(f"duplicate cone: cone {k} repeats the rays of an earlier cone")
         seen.add(key)
         mult = _rational(entry.get("mult"), "cone multiplicity")
         _expect(mult != 0, "cone multiplicities must be nonzero")
@@ -180,7 +182,7 @@ def cycle_to_document(x: TropicalCycle) -> dict:
         gens = {rational_to_primitive(r) for r in cell_rays}
         rows = list(base)
         for v in cell_lin:
-            if rank_rows(rows + [tuple(v)]) > len(rows):
+            if int_rank(rows + [v]) > len(rows):
                 u = rational_to_primitive(v)
                 rows.append(u)
                 gens.add(u)

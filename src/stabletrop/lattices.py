@@ -70,13 +70,12 @@ def rational_to_primitive(v) -> IntVector:
 
 def _echelon(rows):
     """Row echelon of an integer matrix by fraction-free (Bareiss)
-    elimination: (pivot, row) pairs, each row zero before its pivot."""
+    elimination: the nonzero rows, each zero before its pivot."""
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     rank = 0
     prev = 1
-    pivots = []
     for c in range(nc):
         piv = None
         for i in range(rank, nr):
@@ -91,11 +90,10 @@ def _echelon(rows):
                 m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
             m[i][c] = 0
         prev = m[rank][c]
-        pivots.append(c)
         rank += 1
         if rank == nr:
             break
-    return list(zip(pivots, m))
+    return m[:rank]
 
 
 def int_rank(rows) -> int:
@@ -103,32 +101,30 @@ def int_rank(rows) -> int:
     return len(_echelon(rows))
 
 
-def in_span(rows, vectors) -> list:
-    """For each integer vector, whether it lies in the rational span of the
-    integer rows: one echelon of the rows, then one reduction per vector,
-    each echelon row's pivot cleared by an integer combination divided by
-    the gcd of the two pivot entries; no Fraction."""
-    echelon = _echelon(rows)
+def reduce_modulo(echelon, vectors) -> list:
+    """Each integer vector reduced modulo the rows of an integer echelon
+    (each row zero before its pivot, its first nonzero entry): every
+    pivot is cleared by the combination f*v - h*row divided by the gcd of
+    the two pivot entries, with f > 0, so no Fraction is built and a
+    vector keeps its sign. The result is a positive multiple of v plus a
+    combination of the rows, zero at every pivot column, and zero exactly
+    when v lies in the span of the rows."""
+    pivots = [(next(c for c, a in enumerate(e) if a), e) for e in echelon]
     out = []
     for v in vectors:
-        for c, e in echelon:
+        for c, e in pivots:
             if v[c]:
-                g = gcd(e[c], v[c])
+                g = gcd(e[c], v[c]) if e[c] > 0 else -gcd(e[c], v[c])
                 f, h = e[c] // g, v[c] // g
                 v = tuple(f * a - h * b for a, b in zip(v, e))
-        out.append(vec_is_zero(v))
+        out.append(v)
     return out
 
 
-def rank_rows(rows) -> int:
-    """Rank of a matrix with integer or Fraction entries."""
-    scaled = []
-    for r in rows:
-        if any(isinstance(a, Fraction) and a.denominator != 1 for a in r):
-            scaled.append(rational_to_primitive(r) if any(r) else tuple(0 for _ in r))
-        else:
-            scaled.append(tuple(int(a) for a in r))
-    return int_rank(scaled)
+def in_span(rows, vectors) -> list:
+    """For each integer vector, whether it lies in the rational span of the
+    integer rows: one echelon of the rows, then one reduction per vector."""
+    return [vec_is_zero(v) for v in reduce_modulo(_echelon(rows), vectors)]
 
 
 def row_hermite(rows) -> IntMatrix:

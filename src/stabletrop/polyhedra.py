@@ -13,9 +13,16 @@ A polyhedron is stored with lazily computed canonical representations:
 
 Both directions of conversion run the same cone double description core
 `_dd`, once on the homogenization and once on the dual wedge of valid
-inequalities. Ray adjacency inside `_dd` uses the exact algebraic test
-(rank of the common tight set), not a combinatorial heuristic, so the
-output rays are exactly the extreme rays.
+inequalities, and `_dd` returns its cone in canonical form: the
+lineality as the Hermite basis of its saturated lattice, the extreme
+rays reduced modulo it in integers (`reduce_modulo`, with a positive
+factor on the ray, so a ray keeps its sign), primitive and sorted. A
+homogenized point (t*p, t) with t > 0 reduces to a positive multiple of
+(t*q, t), q being p reduced modulo the lineality, so `vrep` reads the
+points off as Fraction(x, t), and `hrep` only drops the row 0 <= 1.
+Ray adjacency inside `_dd` uses the exact algebraic test (rank of the
+common tight set), not a combinatorial heuristic, so the output rays
+are exactly the extreme rays.
 
 Faces need no conversion. A face of P is cut out by some of P's facet
 rows, and its generators are those of P on which the rows are tight
@@ -34,8 +41,9 @@ from stabletrop.lattices import (
     LatticeSubgroup,
     in_span,
     int_rank,
+    primitive,
     rational_to_primitive,
-    rref,
+    reduce_modulo,
     saturation,
     vec_dot,
     vec_is_zero,
@@ -47,9 +55,10 @@ def _dd(dim, eq_normals, ineq_normals):
     """Generators of the cone {y : e.y == 0 for e in eq_normals,
     a.y >= 0 for a in ineq_normals}.
 
-    Returns (lin, rays): a basis of the lineality space and the extreme
-    rays modulo lineality, all primitive integer vectors, not yet in any
-    canonical form.
+    Returns (lin, rays) in canonical form: lin is the Hermite basis of
+    the saturated lattice of the lineality space, and rays are the
+    extreme rays reduced modulo lin by integer steps (`reduce_modulo`, so
+    zero at lin's pivot columns), primitive, distinct and sorted.
     """
     constraints = [("eq", e) for e in eq_normals if not vec_is_zero(e)]
     constraints += [("ineq", a) for a in ineq_normals if not vec_is_zero(a)]
@@ -114,36 +123,9 @@ def _dd(dim, eq_normals, ineq_normals):
             done_eqs.append(a)
         else:
             done_ineqs.append(a)
-    return lin, rays
-
-
-def _mod_reducer(lin_rows):
-    """Linear map eliminating the pivot coordinates of span(lin_rows)."""
-    if not lin_rows:
-        return lambda v: tuple(Fraction(a) for a in v)
-    red, piv = rref(lin_rows)
-
-    def reduce(v):
-        w = [Fraction(a) for a in v]
-        for row, p in zip(red, piv):
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
-
-    return reduce
-
-
-def _canonical_cone(dim, lin, rays):
-    """Canonical (lin_rows, ray_tuple) for a cone given any generators."""
-    lin_sat = saturation(dim, lin)
-    reduce = _mod_reducer(lin_sat.generators)
-    out = set()
-    for r in rays:
-        r2 = reduce(r)
-        if not vec_is_zero(r2):
-            out.add(rational_to_primitive(r2))
-    return lin_sat.generators, tuple(sorted(out))
+    lin = saturation(dim, lin).generators
+    rays = {primitive(r) for r in reduce_modulo(lin, rays) if not vec_is_zero(r)}
+    return lin, tuple(sorted(rays))
 
 
 class Polyhedron:
@@ -273,17 +255,10 @@ class Polyhedron:
         inn = [tuple(-x for x in r[:n]) + (r[n],) for r in ineq_rows]
         t_pos = tuple(0 for _ in range(n)) + (1,)
         lin, rays = _dd(n + 1, eqn, [t_pos] + inn)
-        lin_x = [l[:n] for l in lin]  # lineality has t == 0
-        pts, rec = [], []
-        for r in rays:
-            if r[n] > 0:
-                pts.append(tuple(Fraction(x, r[n]) for x in r[:n]))
-            else:
-                rec.append(r[:n])
-        lin_rows, ray_tuple = _canonical_cone(n, lin_x, rec)
-        reduce = _mod_reducer(lin_rows)
-        points = tuple(sorted({reduce(p) for p in pts}))
-        self._vrep = (points, ray_tuple, lin_rows)
+        # a ray (t*p, t) with t > 0 is the point p; lineality has t == 0
+        points = tuple(sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0))
+        rec = tuple(r[:n] for r in rays if r[n] == 0)
+        self._vrep = (points, rec, tuple(l[:n] for l in lin))
         return self._vrep
 
     def hrep(self):
@@ -302,18 +277,12 @@ class Polyhedron:
         eqn = [tuple(l) + (0,) for l in lin]
         inn = [tuple(-x for x in p) + (1,) for p in points]
         inn += [tuple(-x for x in r) + (0,) for r in rays]
-        dlin, drays = _dd(n + 1, eqn, inn)
-        eq_rows = saturation(n + 1, dlin).generators
+        eq_rows, drays = _dd(n + 1, eqn, inn)
         for row in eq_rows:
             if vec_is_zero(row[:n]):
                 raise ValidationError("inconsistent equality system")
-        reduce = _mod_reducer(eq_rows)
-        out = set()
-        for r in drays:
-            r2 = reduce(r)
-            if not vec_is_zero(r2[:n]):
-                out.add(rational_to_primitive(r2))
-        self._hrep = (tuple(sorted(out)), eq_rows)
+        # drop the trivial row 0 <= 1
+        self._hrep = (tuple(r for r in drays if not vec_is_zero(r[:n])), eq_rows)
         return self._hrep
 
     def _constraints(self):
@@ -518,21 +487,6 @@ class Polyhedron:
             return Polyhedron.empty(self.ambient_dim)
         _, rays, lin = self.vrep()
         return Polyhedron.cone_from_rays(self.ambient_dim, rays, lin)
-
-    def link_at(self, v):
-        """Cone of directions u with v + eps*u in P for small eps > 0."""
-        if not self.contains(v):
-            raise ValidationError("link base point is not in the polyhedron")
-        v = tuple(Fraction(a) for a in v)
-        n = self.ambient_dim
-        ineqs, eqs = self.hrep()
-        tight = [r for r in ineqs if vec_dot(r[:n], v) == r[n]]
-        return Polyhedron.from_hrep(
-            n,
-            [(r[:n], 0) for r in tight],
-            [(r[:n], 0) for r in eqs],
-            known_nonempty=True,
-        )
 
     def _face(self, rows):
         """The face on which every given inequality row (a..., b) of P is

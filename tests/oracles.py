@@ -17,14 +17,21 @@ LP over the stacked coordinates of all operands, the reference for the
 library's displacement test by intersection. `intersect_then_link` is
 the engine's former pair decision, converting the pair's intersection
 for its dimension and testing the links at its interior point, the
-reference for `transverse_links`. `diagonal_intersection` is the
+reference for `transverse_links`; `link_at` is the link cone it tests,
+cut out by the rows tight at a point. `diagonal_intersection` is the
 diagonal route of stable intersection, (X x Y) . diagonal read back
 through the first factor, a cross-check of the engine on other inputs,
 and `link_cycle` the local picture of a cycle at a point.
 `fraction_feasible_point`
 is the phase-1 simplex run on a Fraction tableau, the reference for the
 library's integer tableau. `contains_vector` and
-`is_subgroup_of` decide lattice membership by an integer solve.
+`is_subgroup_of` decide lattice membership by an integer solve, and
+`rank_rows` is a rank of integer or Fraction rows. `canonical_vrep` and
+`canonical_hrep` are the former canonicalizing post-passes of `vrep` and
+`hrep`, a `Fraction` rref modulo the saturated lineality
+(`_mod_reducer`, `_canonical_cone`), the reference for the integer
+reduction inside the library's `_dd`. `support_contains` tests a region
+against the support of a cycle.
 """
 
 from fractions import Fraction
@@ -42,9 +49,9 @@ from stabletrop.cycles import (
 )
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
+    int_rank,
     nullspace_rational,
     quotient_matrix,
-    rank_rows,
     rational_to_primitive,
     rref,
     saturation,
@@ -55,7 +62,7 @@ from stabletrop.lattices import (
     vec_sub,
 )
 from stabletrop.linprog import feasible_point
-from stabletrop.polyhedra import Polyhedron, point_in_sum
+from stabletrop.polyhedra import Polyhedron, covered_by, point_in_sum
 from stabletrop.stable import stable_intersection
 
 
@@ -416,6 +423,62 @@ def is_subgroup_of(a, b):
     return all(contains_vector(b, g) for g in a.generators)
 
 
+def rank_rows(rows) -> int:
+    """Rank of a matrix with integer or Fraction entries."""
+    scaled = []
+    for r in rows:
+        if any(isinstance(a, Fraction) and a.denominator != 1 for a in r):
+            scaled.append(rational_to_primitive(r) if any(r) else tuple(0 for _ in r))
+        else:
+            scaled.append(tuple(int(a) for a in r))
+    return int_rank(scaled)
+
+
+def _mod_reducer(lin_rows):
+    """Linear map eliminating the pivot coordinates of span(lin_rows)."""
+    if not lin_rows:
+        return lambda v: tuple(Fraction(a) for a in v)
+    red, piv = rref(lin_rows)
+
+    def reduce(v):
+        w = [Fraction(a) for a in v]
+        for row, p in zip(red, piv):
+            if w[p] != 0:
+                f = w[p]
+                w = [a - f * b for a, b in zip(w, row)]
+        return tuple(w)
+
+    return reduce
+
+
+def _canonical_cone(dim, lin, rays):
+    """Canonical (lin_rows, ray_tuple) for a cone given any generators."""
+    lin_sat = saturation(dim, lin)
+    reduce = _mod_reducer(lin_sat.generators)
+    out = set()
+    for r in rays:
+        r2 = reduce(r)
+        if not vec_is_zero(r2):
+            out.add(rational_to_primitive(r2))
+    return lin_sat.generators, tuple(sorted(out))
+
+
+def canonical_vrep(n, points, rays, lin):
+    """Canonical (points, rays, lin) of the polyhedron whose vertices,
+    extreme rays and lineality are given in any presentation: rays and
+    points reduced modulo the saturated lineality by a Fraction rref."""
+    lin_rows, ray_tuple = _canonical_cone(n, lin, rays)
+    reduce = _mod_reducer(lin_rows)
+    return tuple(sorted({reduce(p) for p in points})), ray_tuple, lin_rows
+
+
+def canonical_hrep(n, ineq_rows, eq_rows):
+    """Canonical (ineq_rows, eq_rows) of the polyhedron whose facet rows
+    and equality rows (a..., b) are given in any presentation."""
+    eq_rows, rows = _canonical_cone(n + 1, eq_rows, ineq_rows)
+    return tuple(r for r in rows if not vec_is_zero(r[:n])), eq_rows
+
+
 def hrep_dim(p):
     """Dimension read off the H-rep: ambient minus the equality rows."""
     return -1 if p.is_empty else p.ambient_dim - len(p.hrep()[1])
@@ -547,12 +610,28 @@ def diagonal_intersection(x, y):
     return cycle(n, [(c.image(proj), m) for c, m in z.weighted_cells()])
 
 
+def link_at(p, v):
+    """Cone of directions u with v + eps*u in P for small eps > 0."""
+    if not p.contains(v):
+        raise ValidationError("link base point is not in the polyhedron")
+    v = tuple(Fraction(a) for a in v)
+    n = p.ambient_dim
+    ineqs, eqs = p.hrep()
+    tight = [r for r in ineqs if vec_dot(r[:n], v) == r[n]]
+    return Polyhedron.from_hrep(
+        n,
+        [(r[:n], 0) for r in tight],
+        [(r[:n], 0) for r in eqs],
+        known_nonempty=True,
+    )
+
+
 def link_cycle(x, w):
     """Cone cycle of directions along which x is entered from w."""
     pairs = []
     for c, m in zip(x.cells, x.multiplicities):
         if c.contains(w):
-            pairs.append((c.link_at(w), m))
+            pairs.append((link_at(c, w), m))
     return cycle(x.ambient_dim, pairs)
 
 
@@ -565,4 +644,9 @@ def intersect_then_link(p, q, v):
     if w.dim != k_res:
         return False
     gamma = w.interior_point()
-    return point_in_sum(p.link_at(gamma), q.link_at(gamma), v)
+    return point_in_sum(link_at(p, gamma), link_at(q, gamma), v)
+
+
+def support_contains(x, region):
+    """Whether the region lies inside the support of x."""
+    return covered_by(region, x.cells)

@@ -9,7 +9,14 @@ byte for byte.
 import random
 from fractions import Fraction
 
-from oracles import diagonal_intersection, full_dim_volume, link_cycle, mixed_volume_oracle
+from oracles import (
+    diagonal_intersection,
+    full_dim_volume,
+    link_cycle,
+    mixed_volume_oracle,
+    rank_rows,
+    support_contains,
+)
 
 from stabletrop.algebra import (
     add_elements,
@@ -27,7 +34,6 @@ from stabletrop.connectivity import (
     connected_components,
     disconnection_scenario,
     is_connected_through_codim1,
-    support_contains,
     supports_meet_only_at_origin,
 )
 from stabletrop.cycles import (
@@ -43,7 +49,6 @@ from stabletrop.lattices import (
     LatticeSubgroup,
     intersect_lattices,
     lattice_index,
-    rank_rows,
     standard_lattice,
     sum_lattices,
 )

@@ -225,6 +225,22 @@ def test_unknown_keys_are_quoted_briefly(tmp_path, capsys):
     assert f"({10**6} characters)" in err
 
 
+def test_non_primitive_rays_and_duplicate_cones_are_named_by_index(tmp_path, capsys):
+    # a non-primitive ray of 200,000 entries, and a cone of 10,000 rays
+    # given twice: the message names the ray or the cone by its index, so
+    # stderr stays short however long the entry is
+    n = 2 * 10**5
+    ray = {"ambient_dim": n, "rays": [[2] * n], "lineality": [], "cones": [{"rays": [0], "mult": "1"}]}
+    rays = [[1, k] for k in range(10**4)]
+    cone = {"rays": list(range(10**4)), "mult": "1"}
+    cones = {"ambient_dim": 2, "rays": rays, "lineality": [], "cones": [cone, cone]}
+    cases = (("ray", ray, "ray 0 is not primitive"), ("cone", cones, "duplicate cone: cone 1 "))
+    for name, doc, message in cases:
+        code, out, err = run(capsys, ["check-balanced", write(tmp_path, f"{name}.json", doc)])
+        assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+        assert len(err.encode()) < 1024 and message in err
+
+
 def test_dimension_mismatch_exits_4(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     three = write(

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import arrangement_components, arrangement_is_balanced
+from oracles import arrangement_components, arrangement_is_balanced, support_contains
 
 from stabletrop.connectivity import (
     connected_components,
     facet_graph,
     is_connected_through_codim1,
     scenario_polytopes,
-    support_contains,
     supports_meet_only_at_origin,
 )
 from stabletrop.cycles import (

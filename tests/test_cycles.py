@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import link_cycle
+from oracles import link_cycle, rank_rows
 
 from stabletrop import polyhedra
 from stabletrop.errors import DimensionError, ValidationError
@@ -316,8 +316,6 @@ def test_pick_generic_vector_rejects_full_rank():
 def test_pick_generic_vector_many_spans():
     spans = [saturation(3, [(1, a, a * a)]) for a in range(-3, 4)]
     g = pick_generic_vector(3, spans)
-    from stabletrop.lattices import rank_rows
-
     for lat in spans:
         assert rank_rows(list(lat.generators) + [g.vector]) == lat.rank + 1
 

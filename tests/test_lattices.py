@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import contains_vector, is_subgroup_of, mat_mul, solve_rational
+from oracles import contains_vector, is_subgroup_of, mat_mul, rank_rows, solve_rational
 from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
@@ -26,7 +26,6 @@ from stabletrop.lattices import (
     nullspace_rational,
     primitive,
     quotient_matrix,
-    rank_rows,
     rational_to_primitive,
     row_hermite,
     rref,

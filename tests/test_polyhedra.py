@@ -12,11 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_hrep,
+    canonical_vrep,
     hrep_all_faces,
     hrep_dim,
     hrep_facets,
     hrep_minimal_face_at,
     intersect_then_link,
+    link_at,
     lp_cut,
     split_point_in_sum,
     triangulation_volume,
@@ -167,6 +170,91 @@ def test_interior_point_in_relint(points):
     assert p.contains(w)
 
 
+def fvec(n):
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5)))
+    return st.lists(entry, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def redundant_cells(draw, n):
+    """A V-built cell with Fraction points, rays and lineality, plus the
+    midpoint of two points, the sum of two rays and a multiple of a
+    lineality vector; or an H-built cell with Fraction right-hand sides,
+    plus the sum of two rows loosened by one and a multiple of an
+    equality."""
+    if draw(st.booleans()):
+        pts = draw(st.lists(fvec(n), min_size=1, max_size=4))
+        rays = draw(st.lists(ivec(n), max_size=2))
+        lin = draw(st.lists(ivec(n), max_size=2))
+        pts.append(tuple((a + b) / 2 for a, b in zip(pts[0], pts[-1])))
+        rays += [tuple(map(sum, zip(*rays)))] if rays else []
+        lin += [tuple(2 * a for a in lin[0])] if lin else []
+        return Polyhedron.from_vrep(n, pts, rays, lin)
+    rhs = st.builds(Fraction, small_int, st.sampled_from((1, 2)))
+    rows = draw(st.lists(st.tuples(ivec(n), rhs), max_size=n + 2))
+    eqs = draw(st.lists(st.tuples(ivec(n), small_int), max_size=1))
+    if len(rows) >= 2:
+        (a, b), (c, d) = rows[:2]
+        rows.append((tuple(x + y for x, y in zip(a, c)), b + d + 1))
+    eqs += [(tuple(3 * x for x in a), 3 * b) for a, b in eqs]
+    return Polyhedron.from_hrep(n, rows, eqs)
+
+
+@st.composite
+def combination(draw, basis, width):
+    """An integer combination of the basis rows, each of the given width."""
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    return tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(width))
+
+
+@st.composite
+def non_saturated_basis(draw, rows, width):
+    """Another basis of the span of the rows: row i scaled by a nonzero
+    integer (often a sublattice) plus a combination of the earlier rows."""
+    out = []
+    for i, r in enumerate(rows):
+        m = draw(st.sampled_from((-2, -1, 1, 2, 3)))
+        shift = draw(combination(rows[:i], width))
+        out.append(tuple(m * a + b for a, b in zip(r, shift)))
+    return out
+
+
+@st.composite
+def scaled_and_shifted(draw, rows, basis, width):
+    """Each row times a positive integer plus a combination of the basis
+    rows: the same ray, or the same inequality on the affine hull."""
+    out = []
+    for r in rows:
+        k, shift = draw(st.integers(1, 3)), draw(combination(basis, width))
+        out.append(tuple(k * a + b for a, b in zip(r, shift)))
+    return out
+
+
+@given(st.data())
+def test_canonical_forms_match_fraction_reducer(data):
+    # a cell re-presented with its points and rays shifted along the
+    # lineality, its rays scaled and its lineality by a basis that need not
+    # be saturated, and likewise on the H side: the canonical forms from
+    # the integer reduction inside _dd are those of the Fraction rref
+    # modulo the saturated lineality, and those of the cell itself
+    n = data.draw(st.integers(1, 4))
+    cell = data.draw(redundant_cells(n))
+    if cell.is_empty:
+        return
+    pts, rays, lin = cell.vrep()
+    lin2 = data.draw(non_saturated_basis(lin, n))
+    pts2 = [tuple(a + b for a, b in zip(p, data.draw(combination(lin, n)))) for p in pts]
+    rays2 = data.draw(scaled_and_shifted(rays, lin, n))
+    v = Polyhedron.from_vrep(n, pts2, rays2, lin2)
+    assert v.vrep() == canonical_vrep(n, pts2, rays2, lin2) == cell.vrep()
+    ineqs, eqs = cell.hrep()
+    eqs2 = data.draw(non_saturated_basis(eqs, n + 1))
+    ineqs2 = data.draw(scaled_and_shifted(ineqs, eqs, n + 1))
+    h = Polyhedron.from_hrep(n, [(r[:n], r[n]) for r in ineqs2], [(r[:n], r[n]) for r in eqs2])
+    assert h.hrep() == canonical_hrep(n, ineqs2, eqs2) == cell.hrep()
+    assert h.vrep() == cell.vrep()
+
+
 # --------------------------------------------------------------- operations
 
 
@@ -208,18 +296,18 @@ def test_recession_and_reflect():
 
 def test_link_at_vertex():
     sq = Polyhedron.from_vrep(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    cone = sq.link_at((0, 0))
+    cone = link_at(sq, (0, 0))
     assert cone.is_cone
     assert cone.vrep()[1] == ((0, 1), (1, 0))
-    inner = sq.link_at((Fraction(1, 2), Fraction(1, 2)))
+    inner = link_at(sq, (Fraction(1, 2), Fraction(1, 2)))
     assert inner == Polyhedron.ambient(2)
     with pytest.raises(ValidationError):
-        sq.link_at((5, 5))
+        link_at(sq, (5, 5))
 
 
 def test_link_at_edge_point():
     sq = Polyhedron.from_vrep(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    cone = sq.link_at((Fraction(1, 2), 0))
+    cone = link_at(sq, (Fraction(1, 2), 0))
     pts, rays, lin = cone.vrep()
     assert lin == ((1, 0),) and rays == ((0, 1),)
 
@@ -404,7 +492,7 @@ def sum_operands(draw, n):
     cell = draw(st.one_of(cut_cells(n), h_cells(n)))
     if kind == "cell" or cell.is_empty:
         return cell
-    return cell.link_at(draw(st.sampled_from(cell.vrep()[0])))
+    return link_at(cell, draw(st.sampled_from(cell.vrep()[0])))
 
 
 @given(st.data())
@@ -465,7 +553,7 @@ def test_transverse_links_match_intersect_then_link(data):
         assert (links is not None and point_in_sum(*links, v)) == intersect_then_link(p, q, v)
     if links is not None:
         gamma = w.interior_point()
-        assert links == (p.link_at(gamma), q.link_at(gamma))
+        assert links == (link_at(p, gamma), link_at(q, gamma))
 
 
 def test_is_polyhedral_complex_detects_bad_pair():
