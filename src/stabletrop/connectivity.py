@@ -120,7 +120,7 @@ def disconnection_scenario() -> DisconnectionScenario:
     t2 = stable_power(tropical_hypersurface(p2), 2)
     h = cycle(
         5,
-        [(Polyhedron.from_hrep(5, [], [((1, 1, 1, 1, 1), 0)], known_nonempty=True), 1)],
+        [(Polyhedron.from_hrep(5, [], [((1, 1, 1, 1, 1), 0)]), 1)],
     )
     slice1 = stable_intersection(t1, h)
     slice2 = stable_intersection(t2, h)

@@ -7,9 +7,9 @@ positive common denominator D, the determinant of the current basis
 pivot divides exactly by the previous D, so no Fraction is built until
 the returned point, and every decision is the one the same tableau over
 the rationals would make. This is only used as a feasibility oracle
-(emptiness of polyhedra given by constraints, which decides the engine's
-displacement test, and polytopality certificates), so there is no
-objective beyond driving the artificial variables to zero.
+(the engine's pair test and displacement test, and polytopality
+certificates), so there is no objective beyond driving the artificial
+variables to zero.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Exact rational polyhedra via the double description method.
 
-A polyhedron is stored with lazily computed canonical representations:
+A polyhedron keeps what it was built from, its rows (`_rows`) or its
+generators (`_gens`), beside lazily computed canonical representations:
 
 * V-side: (points, rays, lineality) with the lineality basis in Hermite
   form of its saturated lattice, rays reduced modulo the lineality and
@@ -23,6 +24,17 @@ points off as Fraction(x, t), and `hrep` only drops the row 0 <= 1.
 Ray adjacency inside `_dd` uses the exact algebraic test (rank of the
 common tight set), not a combinatorial heuristic, so the output rays
 are exactly the extreme rays.
+
+Every reader of rows goes through `_constraints()`: the rows as given,
+else the canonical H-rep. `_generators()` is its V-side twin, read by
+`is_empty` and `hrep`. Emptiness is read off the generators: a
+polyhedron is empty when they have no point, so one built from rows is
+empty when `_dd` finds no ray with t > 0 in its homogenization. A
+zero-normal row that fails (0 <= b with b < 0, or 0 = d with d != 0) is
+kept as a row for that reason. The empty polyhedron has the V-rep
+((), (), ()) and the one H-row 0 <= -1, so membership, `intersect`,
+`translate`, `minkowski`, `image`, `times` and `point_in_sum` need no
+emptiness branch: the rows or generators they read already say it.
 
 Faces need no conversion. A face of P is cut out by some of P's facet
 rows, and its generators are those of P on which the rows are tight
@@ -131,31 +143,14 @@ def _dd(dim, eq_normals, ineq_normals):
 class Polyhedron:
     """A rational polyhedron in Q^n, immutable once constructed."""
 
-    __slots__ = (
-        "ambient_dim",
-        "_raw_ineqs",
-        "_raw_eqs",
-        "_raw_points",
-        "_raw_rays",
-        "_raw_lin",
-        "_hrep",
-        "_vrep",
-        "_empty",
-        "_dim",
-        "_dirlat",
-        "_faces",
-    )
+    __slots__ = ("ambient_dim", "_rows", "_gens", "_hrep", "_vrep", "_dim", "_dirlat", "_faces")
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
-        self._raw_ineqs = None
-        self._raw_eqs = None
-        self._raw_points = None
-        self._raw_rays = None
-        self._raw_lin = None
+        self._rows = None
+        self._gens = None
         self._hrep = None
         self._vrep = None
-        self._empty = None
         self._dim = None
         self._dirlat = None
         self._faces = None
@@ -163,9 +158,11 @@ class Polyhedron:
     # ------------------------------------------------------------ builders
 
     @staticmethod
-    def from_hrep(ambient_dim, ineqs=(), eqs=(), known_nonempty=False):
+    def from_hrep(ambient_dim, ineqs=(), eqs=()):
         """Polyhedron {x : a.x <= b, c.x == d}; constraints are (vector, rhs)
-        pairs with int or Fraction entries."""
+        pairs with int or Fraction entries. A zero-normal row is dropped
+        when it holds and kept when it does not, so that the conversion
+        finds no point."""
         self = Polyhedron(ambient_dim)
         rows_i = []
         rows_e = []
@@ -173,37 +170,29 @@ class Polyhedron:
             a = tuple(a)
             if len(a) != ambient_dim:
                 raise DimensionError("inequality has wrong length")
-            if vec_is_zero(a):
-                if b < 0:
-                    self._empty = True
-                continue
-            rows_i.append(rational_to_primitive(a + (b,)))
+            if b < 0 or not vec_is_zero(a):
+                rows_i.append(rational_to_primitive(a + (b,)))
         for c, d in eqs:
             c = tuple(c)
             if len(c) != ambient_dim:
                 raise DimensionError("equality has wrong length")
-            if vec_is_zero(c):
-                if d != 0:
-                    self._empty = True
-                continue
-            rows_e.append(rational_to_primitive(c + (d,)))
-        self._raw_ineqs = tuple(rows_i)
-        self._raw_eqs = tuple(rows_e)
-        if known_nonempty and self._empty is None:
-            self._empty = False
+            if d != 0 or not vec_is_zero(c):
+                rows_e.append(rational_to_primitive(c + (d,)))
+        self._rows = (tuple(rows_i), tuple(rows_e))
         return self
 
     @staticmethod
     def from_vrep(ambient_dim, points, rays=(), lin=()):
         self = Polyhedron(ambient_dim)
-        self._raw_points = tuple(tuple(Fraction(a) for a in p) for p in points)
-        self._raw_rays = tuple(tuple(Fraction(a) for a in r) for r in rays if not vec_is_zero(r))
-        self._raw_lin = tuple(tuple(Fraction(a) for a in l) for l in lin if not vec_is_zero(l))
-        for v in self._raw_points + self._raw_rays + self._raw_lin:
+        self._gens = (
+            tuple(tuple(Fraction(a) for a in p) for p in points),
+            tuple(tuple(Fraction(a) for a in r) for r in rays if not vec_is_zero(r)),
+            tuple(tuple(Fraction(a) for a in l) for l in lin if not vec_is_zero(l)),
+        )
+        for v in self._gens[0] + self._gens[1] + self._gens[2]:
             if len(v) != ambient_dim:
                 raise DimensionError("generator has wrong length")
-        self._empty = not self._raw_points
-        if self._empty:
+        if not self._gens[0]:
             self._vrep = ((), (), ())
         return self
 
@@ -214,7 +203,7 @@ class Polyhedron:
 
     @staticmethod
     def ambient(n):
-        return Polyhedron.from_hrep(n, known_nonempty=True)
+        return Polyhedron.from_hrep(n)
 
     @staticmethod
     def cone_from_rays(n, rays, lin=()):
@@ -222,75 +211,60 @@ class Polyhedron:
 
     @staticmethod
     def empty(n):
-        self = Polyhedron(n)
-        self._empty = True
-        self._vrep = ((), (), ())
-        return self
-
-    # ---------------------------------------------------------- emptiness
-
-    @property
-    def is_empty(self):
-        if self._empty is None:
-            # raw H present
-            n = self.ambient_dim
-            ineqs = [(r[:n], r[n]) for r in self._raw_ineqs]
-            eqs = [(r[:n], r[n]) for r in self._raw_eqs]
-            self._empty = not _rows_feasible(n, ineqs, eqs)
-        return self._empty
+        return Polyhedron.from_vrep(n, [])
 
     # ------------------------------------------------------- conversions
-
-    def vrep(self):
-        """Canonical (points, rays, lin)."""
-        if self._vrep is not None:
-            return self._vrep
-        if self.is_empty:
-            self._vrep = ((), (), ())
-            return self._vrep
-        n = self.ambient_dim
-        ineq_rows, eq_rows = self._constraints()
-        # homogenize: a.x <= b t, c.x == d t, t >= 0
-        eqn = [r[:n] + (-r[n],) for r in eq_rows]
-        inn = [tuple(-x for x in r[:n]) + (r[n],) for r in ineq_rows]
-        t_pos = tuple(0 for _ in range(n)) + (1,)
-        lin, rays = _dd(n + 1, eqn, [t_pos] + inn)
-        # a ray (t*p, t) with t > 0 is the point p; lineality has t == 0
-        points = tuple(sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0))
-        rec = tuple(r[:n] for r in rays if r[n] == 0)
-        self._vrep = (points, rec, tuple(l[:n] for l in lin))
-        return self._vrep
-
-    def hrep(self):
-        """Canonical (ineq_rows, eq_rows); rows are (n+1)-tuples (a..., b)."""
-        if self._hrep is not None:
-            return self._hrep
-        n = self.ambient_dim
-        if self.is_empty:
-            self._hrep = ((tuple(0 for _ in range(n)) + (-1,),), ())
-            return self._hrep
-        if self._raw_points is not None:
-            points, rays, lin = self._raw_points, self._raw_rays, self._raw_lin
-        else:
-            points, rays, lin = self.vrep()
-        # dual wedge in (a, b): a.p <= b, a.r <= 0, a.l == 0
-        eqn = [tuple(l) + (0,) for l in lin]
-        inn = [tuple(-x for x in p) + (1,) for p in points]
-        inn += [tuple(-x for x in r) + (0,) for r in rays]
-        eq_rows, drays = _dd(n + 1, eqn, inn)
-        for row in eq_rows:
-            if vec_is_zero(row[:n]):
-                raise ValidationError("inconsistent equality system")
-        # drop the trivial row 0 <= 1
-        self._hrep = (tuple(r for r in drays if not vec_is_zero(r[:n])), eq_rows)
-        return self._hrep
 
     def _constraints(self):
         """(ineq_rows, eq_rows) as given when built from constraints,
         else the canonical H-representation."""
-        if self._raw_ineqs is not None:
-            return self._raw_ineqs, self._raw_eqs
-        return self.hrep()
+        return self.hrep() if self._rows is None else self._rows
+
+    def _generators(self):
+        """(points, rays, lin) as given when built from generators, else
+        the canonical V-representation."""
+        return self.vrep() if self._gens is None else self._gens
+
+    @property
+    def is_empty(self):
+        """Read off the generators: a polyhedron is empty when it has no
+        point, so one built from rows is empty when its conversion finds
+        none."""
+        return not self._generators()[0]
+
+    def vrep(self):
+        """Canonical (points, rays, lin); ((), (), ()) when empty."""
+        if self._vrep is None:
+            n = self.ambient_dim
+            ineq_rows, eq_rows = self._constraints()
+            # homogenize: a.x <= b t, c.x == d t, t >= 0
+            eqn = [r[:n] + (-r[n],) for r in eq_rows]
+            inn = [tuple(-x for x in r[:n]) + (r[n],) for r in ineq_rows]
+            t_pos = tuple(0 for _ in range(n)) + (1,)
+            lin, rays = _dd(n + 1, eqn, [t_pos] + inn)
+            # a ray (t*p, t) with t > 0 is the point p; lineality has t == 0
+            points = tuple(sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0))
+            rec = tuple(r[:n] for r in rays if r[n] == 0)
+            self._vrep = (points, rec, tuple(l[:n] for l in lin)) if points else ((), (), ())
+        return self._vrep
+
+    def hrep(self):
+        """Canonical (ineq_rows, eq_rows); rows are (n+1)-tuples (a..., b),
+        and the one row 0 <= -1 when empty."""
+        if self._hrep is None:
+            n = self.ambient_dim
+            points, rays, lin = self._generators()
+            if not points:
+                self._hrep = ((tuple(0 for _ in range(n)) + (-1,),), ())
+            else:
+                # dual wedge in (a, b): a.p <= b, a.r <= 0, a.l == 0
+                eqn = [tuple(l) + (0,) for l in lin]
+                inn = [tuple(-x for x in p) + (1,) for p in points]
+                inn += [tuple(-x for x in r) + (0,) for r in rays]
+                eq_rows, drays = _dd(n + 1, eqn, inn)
+                # drop the trivial row 0 <= 1
+                self._hrep = (tuple(r for r in drays if not vec_is_zero(r[:n])), eq_rows)
+        return self._hrep
 
     @property
     def ineq_rows(self):
@@ -309,8 +283,6 @@ class Polyhedron:
         return self._dim
 
     def key(self):
-        if self.is_empty:
-            return (self.ambient_dim, "empty")
         return (self.ambient_dim, self.vrep())
 
     def __eq__(self, other):
@@ -328,8 +300,6 @@ class Polyhedron:
         return f"Polyhedron(dim {self.dim} in Q^{self.ambient_dim}, {len(p)} pts, {len(r)} rays, lin {len(l)})"
 
     def contains(self, x):
-        if self.is_empty:
-            return False
         x = tuple(Fraction(a) for a in x)
         n = self.ambient_dim
         ineqs, eqs = self._constraints()
@@ -339,8 +309,6 @@ class Polyhedron:
 
     def relint_contains(self, x):
         """Membership in the relative interior (facet rows strict)."""
-        if self.is_empty:
-            return False
         x = tuple(Fraction(a) for a in x)
         n = self.ambient_dim
         ineqs, eqs = self.hrep()
@@ -350,10 +318,6 @@ class Polyhedron:
 
     def contains_poly(self, other):
         """Whether other is a subset of self."""
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
         n = self.ambient_dim
         ineqs, eqs = self.hrep()
         pts, rays, lin = other.vrep()
@@ -386,15 +350,11 @@ class Polyhedron:
 
     @property
     def is_cone(self):
-        if self.is_empty:
-            return False
         points = self.vrep()[0]
         return len(points) == 1 and vec_is_zero(points[0])
 
     @property
     def is_bounded(self):
-        if self.is_empty:
-            return True
         _, rays, lin = self.vrep()
         return not rays and not lin
 
@@ -414,45 +374,24 @@ class Polyhedron:
 
     # --------------------------------------------------------- operations
 
-    def intersect(self, other, known_nonempty=False):
+    def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
         n = self.ambient_dim
-        if self.is_empty or other.is_empty:
-            return Polyhedron.empty(n)
         si, se = self._constraints()
         oi, oe = other._constraints()
-        return Polyhedron.from_hrep(
-            n,
-            [(r[:n], r[n]) for r in si + oi],
-            [(r[:n], r[n]) for r in se + oe],
-            known_nonempty,
-        )
+        return Polyhedron.from_hrep(n, [(r[:n], r[n]) for r in si + oi], [(r[:n], r[n]) for r in se + oe])
 
     def translate(self, t):
         t = tuple(Fraction(a) for a in t)
         n = self.ambient_dim
-        if self.is_empty:
-            return self
-        if self._raw_ineqs is not None or self._hrep is not None:
-            ineqs, eqs = self._constraints()
-            return Polyhedron.from_hrep(
-                n,
-                [(r[:n], r[n] + vec_dot(r[:n], t)) for r in ineqs],
-                [(r[:n], r[n] + vec_dot(r[:n], t)) for r in eqs],
-                known_nonempty=True,
-            )
-        if self._vrep is not None:
-            pts, rays, lin = self._vrep
-        else:
-            pts, rays, lin = self._raw_points, self._raw_rays, self._raw_lin
-        return Polyhedron.from_vrep(n, [tuple(a + b for a, b in zip(p, t)) for p in pts], rays, lin)
+        ineqs, eqs = self._constraints()
+        shift = lambda r: (r[:n], r[n] + vec_dot(r[:n], t))
+        return Polyhedron.from_hrep(n, [shift(r) for r in ineqs], [shift(r) for r in eqs])
 
     def minkowski(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        if self.is_empty or other.is_empty:
-            return Polyhedron.empty(self.ambient_dim)
         p1, r1, l1 = self.vrep()
         p2, r2, l2 = other.vrep()
         pts = [tuple(a + b for a, b in zip(p, q)) for p in p1 for q in p2]
@@ -461,16 +400,12 @@ class Polyhedron:
     def image(self, matrix):
         """Image under the linear map given by rational matrix rows."""
         m = len(matrix)
-        if self.is_empty:
-            return Polyhedron.empty(m)
         pts, rays, lin = self.vrep()
         mv = lambda v: tuple(vec_dot(row, v) for row in matrix)
         return Polyhedron.from_vrep(m, [mv(p) for p in pts], [mv(r) for r in rays], [mv(l) for l in lin])
 
     def times(self, other):
         """Cartesian product, ambient Q^(n1+n2)."""
-        if self.is_empty or other.is_empty:
-            return Polyhedron.empty(self.ambient_dim + other.ambient_dim)
         p1, r1, l1 = self.vrep()
         p2, r2, l2 = other.vrep()
         z1 = tuple(0 for _ in range(self.ambient_dim))
@@ -500,7 +435,6 @@ class Polyhedron:
         if not points:
             return Polyhedron.empty(n)
         face = Polyhedron(n)
-        face._empty = False
         face._vrep = (points, tuple(v for v in rays if all(vec_dot(r[:n], v) == 0 for r in rows)), lin)
         return face
 
@@ -567,7 +501,7 @@ def transverse_links(p, q):
 
     def link(rows, eqs):
         tight = [(r[:n], 0) for r in rows if vec_dot(lift(r), point) == 0]
-        return Polyhedron.from_hrep(n, tight, [(r[:n], 0) for r in eqs], known_nonempty=True)
+        return Polyhedron.from_hrep(n, tight, [(r[:n], 0) for r in eqs])
 
     return link(pi, pe), link(qi, qe)
 
@@ -576,21 +510,13 @@ def point_in_sum(p, q, v):
     """Whether v lies in the Minkowski difference P - Q, that is whether
     P meets Q + v: the displacement test of the fan displacement rule.
     One LP on P's rows and Q's rows with right-hand sides shifted by a·v,
-    or none when the origin is feasible; no polyhedron is built."""
-    if p._empty or q._empty:
-        return False
+    or none when the origin is feasible (two cones); no polyhedron is
+    built."""
     n = p.ambient_dim
     (pi, pe), (qi, qe) = p._constraints(), q._constraints()
     shift = lambda r: (r[:n], r[n] + vec_dot(r[:n], v))
     ineqs = [(r[:n], r[n]) for r in pi] + [shift(r) for r in qi]
     eqs = [(r[:n], r[n]) for r in pe] + [shift(r) for r in qe]
-    return _rows_feasible(n, ineqs, eqs)
-
-
-def _rows_feasible(n, ineqs, eqs):
-    """Whether {x : a.x <= b, c.x == d} is nonempty, for (vector, rhs)
-    rows: true without an LP when the origin is feasible (every cone),
-    else one `feasible_point`."""
     if all(b >= 0 for _, b in ineqs) and all(d == 0 for _, d in eqs):
         return True
     return feasible_point(n, ineqs, eqs) is not None
@@ -636,8 +562,8 @@ def _cut(cell, planes):
                 nxt.append(p)
                 continue
             for h in ((a, b), (tuple(-x for x in a), -b)):
-                half = p.intersect(Polyhedron.from_hrep(n, [h], known_nonempty=True))
-                half._empty, half._dim = False, p.dim
+                half = p.intersect(Polyhedron.from_hrep(n, [h]))
+                half._dim = p.dim
                 nxt.append(half)
         pieces = nxt
     return pieces

@@ -133,7 +133,7 @@ def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
         u = pts[0]
         ineqs = [(vec_sub(u, x), 0) for x in p.vertices]
         eqs = [(vec_sub(pts[1], u), 0)]
-        cone = Polyhedron.from_hrep(n, ineqs, eqs, known_nonempty=True)
+        cone = Polyhedron.from_hrep(n, ineqs, eqs)
         cells.append((cone, lattice_length(e)))
     return cycle(n, cells)
 
@@ -227,7 +227,7 @@ def preimage_cycle(matrix, x: TropicalCycle) -> TropicalCycle:
     for c, m in x.weighted_cells():
         ineqs = [(mat_vec(cols, r[:-1]), r[-1]) for r in c.ineq_rows]
         eqs = [(mat_vec(cols, r[:-1]), r[-1]) for r in c.eq_rows]
-        cells.append((Polyhedron.from_hrep(n, ineqs, eqs, known_nonempty=True), m))
+        cells.append((Polyhedron.from_hrep(n, ineqs, eqs), m))
     return cycle(n, cells)
 
 

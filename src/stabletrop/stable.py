@@ -138,7 +138,7 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
         links = transverse_links(sx, sy)
         if links is None or not point_in_sum(*links, gen.vector):
             continue
-        w = sx.intersect(sy, known_nonempty=True)
+        w = sx.intersect(sy)
         idx = lattice_index(amb, lat)
         term = x.multiplicities[i] * y.multiplicities[j] * idx
         weighted.append((w, term))
@@ -236,6 +236,8 @@ def perturbation_intersection(
     by recomputing at eps / 2), and the limit cycle collects recession
     cones of the transverse pieces. The limit must coincide with the
     stable intersection; the transverse cycle is the displaced witness.
+    Where an input is zero or the expected dimension is negative, both
+    are the zero cycle, as in the engine.
     """
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
@@ -243,8 +245,6 @@ def perturbation_intersection(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    if x.is_zero or y.is_zero or x.dim + y.dim < n:
-        raise ValidationError("perturbation route needs expected dimension >= 0")
     _require_fan(x, "first input")
     _require_fan(y, "second input")
     for m in x.multiplicities + y.multiplicities:
@@ -254,6 +254,9 @@ def perturbation_intersection(
     v = gen.vector if isinstance(gen, GenericVector) else tuple(gen)
     if not isinstance(gen, GenericVector):
         gen = GenericVector(v, 0, 0)
+    if x.is_zero or y.is_zero or x.dim + y.dim < n:
+        # no pair spans, as in the engine: the zero cycle
+        return PerturbationResult(zero_cycle(n), zero_cycle(n), gen, eps)
     k_res = x.dim + y.dim - n
     pieces = _transverse_pieces(x, y, v, eps)
     half = _transverse_pieces(x, y, v, eps / 2)

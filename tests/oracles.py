@@ -496,7 +496,6 @@ def hrep_minimal_face_at(p, w):
         n,
         [(r[:n], r[n]) for r in ineqs],
         [(r[:n], r[n]) for r in eqs] + [(r[:n], r[n]) for r in tight],
-        known_nonempty=True,
     )
 
 
@@ -508,7 +507,7 @@ def hrep_facets(p):
     for r in ineqs:
         pairs_i = [(q[:n], q[n]) for q in ineqs]
         pairs_e = [(q[:n], q[n]) for q in eqs] + [(r[:n], r[n])]
-        out.append(Polyhedron.from_hrep(n, pairs_i, pairs_e, known_nonempty=True))
+        out.append(Polyhedron.from_hrep(n, pairs_i, pairs_e))
     return out
 
 
@@ -622,7 +621,6 @@ def link_at(p, v):
         n,
         [(r[:n], 0) for r in tight],
         [(r[:n], 0) for r in eqs],
-        known_nonempty=True,
     )
 
 

@@ -72,6 +72,25 @@ def test_stable_intersect_self_with_all_flags(tmp_path, capsys):
     assert sum(json.loads(p["term"]) for p in facet["pairs"]) == 1
 
 
+def test_oracle_accepts_zero_results(tmp_path, capsys):
+    # two rays in Q^3 (expected dimension -1) and the zero cycle times a
+    # line: the perturbation route agrees on the zero cycle, so --oracle
+    # leaves the run as it is
+    def ray(v):
+        return {"ambient_dim": 3, "rays": [v], "lineality": [], "cones": [{"rays": [0], "mult": "1"}]}
+
+    zero = {"ambient_dim": 2, "rays": [], "lineality": [], "cones": []}
+    cases = [
+        (ray([1, 0, 0]), ray([0, 1, 0])),
+        (zero, tropical_line_doc()),
+    ]
+    for a, b in cases:
+        x, y = write(tmp_path, "x.json", a), write(tmp_path, "y.json", b)
+        plain = run(capsys, ["stable-intersect", x, y])
+        assert plain[0] == 0 and json.loads(plain[1])["cones"] == []
+        assert run(capsys, ["stable-intersect", x, y, "--oracle"]) == plain
+
+
 def test_stable_intersect_with_ambient_echoes_input(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     a = write(tmp_path, "ambient.json", ambient_doc())

@@ -76,7 +76,7 @@ def test_line_cells_use_opposite_ray_pairs():
 def test_shared_lineality_is_factored_out():
     h = cycle(
         3,
-        [(Polyhedron.from_hrep(3, [], [((1, 1, 1), 0)], known_nonempty=True), 1)],
+        [(Polyhedron.from_hrep(3, [], [((1, 1, 1), 0)]), 1)],
     )
     doc = documents.cycle_to_document(h)
     assert doc["rays"] == []

@@ -5,6 +5,7 @@ evaluation) against an LP over the V-side generators, two routes that
 share no conversion code.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
 from stabletrop import polyhedra
 from stabletrop.errors import ValidationError
 from stabletrop.lattices import LatticeSubgroup, sum_lattices, vec_dot
+from stabletrop.linprog import feasible_point
 from stabletrop.polyhedra import (
     Polyhedron,
     _cut,
@@ -90,6 +92,69 @@ def test_empty_detection():
     assert e.dim == -1
     assert not e.contains((0,))
     assert Polyhedron.from_vrep(2, []).is_empty
+
+
+def test_emptiness_is_read_off_the_conversion(monkeypatch):
+    # built from rows, a polyhedron is empty when its conversion finds no
+    # point: is_empty makes no LP and one _dd, which vrep() and key()
+    # reuse; built from generators, it is empty when it has no point, and
+    # is_empty makes no _dd
+    assert "known_nonempty" not in inspect.signature(Polyhedron.from_hrep).parameters
+    lps, dds = [], []
+    lp, dd = polyhedra.feasible_point, polyhedra._dd
+    monkeypatch.setattr(polyhedra, "feasible_point", lambda *a, **k: lps.append(a) or lp(*a, **k))
+    monkeypatch.setattr(polyhedra, "_dd", lambda *a: dds.append(a) or dd(*a))
+    for ineqs, empty in (
+        ([((1, 0), 1), ((-1, 0), -2)], True),
+        ([((0, 0), -1)], True),
+        ([((1, 1), -1)], False),
+        ([((1, 0), 1), ((0, -1), 0)], False),
+    ):
+        p = Polyhedron.from_hrep(2, ineqs)
+        assert p.is_empty == empty
+        assert (len(lps), len(dds)) == (0, 1)
+        p.vrep(), p.key()
+        assert len(dds) == 1
+        dds.clear()
+    for p, empty in (
+        (Polyhedron.from_vrep(2, [(0, 0), (1, 2)], [(1, 0)]), False),
+        (Polyhedron.from_vrep(2, []), True),
+        (Polyhedron.empty(2), True),
+    ):
+        assert p.is_empty == empty
+    assert (lps, dds) == ([], [])
+
+
+@st.composite
+def h_systems(draw):
+    """(n, ineqs, eqs) in Q^1 to Q^4 with rational right-hand sides, often
+    with zero-normal rows 0 <= b and 0 = d."""
+    n = draw(st.integers(1, 4))
+    rhs = st.builds(Fraction, small_int, st.sampled_from((1, 2, 3)))
+    normal = st.one_of(ivec(n), st.just((0,) * n))
+    rows = st.tuples(normal, rhs)
+    return n, draw(st.lists(rows, max_size=n + 3)), draw(st.lists(rows, max_size=2))
+
+
+@given(h_systems(), st.data())
+def test_emptiness_matches_the_lp(system, data):
+    # emptiness read off the conversion against the LP on the same rows:
+    # the same answer, dimension -1 exactly when empty, membership as the
+    # rows evaluate, and every operation on an empty polyhedron empty
+    n, ineqs, eqs = system
+    p = Polyhedron.from_hrep(n, ineqs, eqs)
+    witness = feasible_point(n, ineqs, eqs)
+    assert p.is_empty == (witness is None)
+    assert (p.dim == -1) == p.is_empty
+    for x in [data.draw(fvec(n))] + ([] if witness is None else [witness]):
+        rows_hold = all(vec_dot(a, x) <= b for a, b in ineqs) and all(vec_dot(c, x) == d for c, d in eqs)
+        assert p.contains(x) == rows_hold
+    if p.is_empty:
+        q = data.draw(cut_cells(n))
+        matrix = data.draw(st.lists(ivec(n), min_size=1, max_size=3))
+        results = [p.translate(data.draw(fvec(n))), p.intersect(q), q.intersect(p), p.minkowski(q)]
+        results += [q.minkowski(p), p.image(matrix), p.times(q), q.times(p)]
+        assert all(r.is_empty and r.dim == -1 for r in results)
 
 
 def test_unbounded_cone():

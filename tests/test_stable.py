@@ -330,6 +330,48 @@ def test_signed_operand_distributes(a_hyp, b_hyp, y, a, b):
     assert cycles_equal(stable_intersection(x, y), expected)
 
 
+def translated(x, t):
+    return cycle(x.ambient_dim, [(c.translate(t), m) for c, m in x.weighted_cells()])
+
+
+def shifted(x, t):
+    """x + t built from each cell's generators with its points moved,
+    with no call to `translate`."""
+    n = x.ambient_dim
+    cells = []
+    for c, m in x.weighted_cells():
+        pts, rays, lin = c.vrep()
+        cells.append((Polyhedron.from_vrep(n, [tuple(a + b for a, b in zip(p, t)) for p in pts], rays, lin), m))
+    return cycle(n, cells)
+
+
+@st.composite
+def small_hypersurfaces(draw, n):
+    """The tropical hypersurface of a lattice polytope in the box [0, 2]^n
+    with n + 1 or n + 2 vertices, of any positive dimension."""
+    coords = st.tuples(*[st.integers(0, 2)] * n)
+    p = polytope(n, draw(st.lists(coords, min_size=n + 1, max_size=n + 2, unique=True)))
+    assume(p.dim >= 1)
+    return tropical_hypersurface(p)
+
+
+@given(st.data())
+@settings(max_examples=20)
+def test_translating_both_inputs_translates_the_result(data):
+    # X . Y is translation invariant: (X + t) . (Y + t) = X . Y + t, with
+    # the same certificate, since translation keeps every face lattice;
+    # the inputs move by their rows, the expected result by its points
+    n = data.draw(st.sampled_from((2, 3)))
+    x, y = data.draw(small_hypersurfaces(n)), data.draw(small_hypersurfaces(n))
+    shift = st.sampled_from((-1, 0, Fraction(1, 2), 2))
+    y = translated(y, data.draw(st.tuples(*[shift] * n)))
+    t = data.draw(st.tuples(*[shift] * n))
+    before = stable_intersection_report(x, y)
+    after = stable_intersection_report(translated(x, t), translated(y, t))
+    assert cycles_equal(after.result, shifted(before.result, t))
+    assert [term.generic for term in after.terms] == [term.generic for term in before.terms]
+
+
 def test_signed_q3_pair_runs_the_engine_once():
     # 2A - 2B for two crossing tetrahedral fans against a translated third
     # one; the planes of the negative cells of x cross the other cells
