@@ -195,13 +195,7 @@ def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
             eq[0][idx] = Fraction(u[0])
             eq[1][idx] = Fraction(u[1])
         rows.extend(tuple(r) for r in eq)
-    if rows:
-        vectors = list(nullspace_rational(rows, ncols=len(wall_list)))
-    else:
-        vectors = [
-            tuple(Fraction(1 if i == j else 0) for i in range(len(wall_list)))
-            for j in range(len(wall_list))
-        ]
+    vectors = list(nullspace_rational(rows, ncols=len(wall_list)))
     cert = None
     if wall_list:
         ineqs = []

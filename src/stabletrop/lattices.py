@@ -4,13 +4,18 @@ All arithmetic uses Python integers and fractions.Fraction; no floating
 point appears anywhere in this package. Vectors are plain tuples and
 matrices are tuples of row tuples, so every value is hashable and can be
 used as a canonical dictionary key.
+
+Hermite forms answer the lattice questions: subgroup sums, integer
+kernels (the Hermite form of [M^T | I]), saturations (the kernel of the
+kernel) and indices (a ratio of Hermite pivots). The Smith row transform
+gives only the quotient map (`quotient_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 IntVector = tuple
 IntMatrix = tuple
@@ -171,50 +176,21 @@ def row_hermite(rows) -> IntMatrix:
 
 
 def snf_transform(matrix):
-    """Smith normal form with transforms.
+    """Smith normal form with its row transform.
 
-    Returns (U, Uinv, D, V) with U * matrix * V == D, where U and V are
-    unimodular, Uinv is the inverse of U, and D is diagonal with
-    nonnegative invariant factors d1 | d2 | ...
+    Returns (U, D) with U * matrix * V == D for some unimodular V, where U
+    is unimodular and D is diagonal with nonnegative invariant factors
+    d1 | d2 | ...; the column operations act on D alone.
     """
     D = [list(int(a) for a in r) for r in matrix]
     nr = len(D)
     nc = len(D[0]) if nr else 0
     U = [list(r) for r in identity_matrix(nr)]
-    Uinv = [list(r) for r in identity_matrix(nr)]
-    V = [list(r) for r in identity_matrix(nc)]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j; Uinv gets the inverse column operation
+        # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for k in range(nr):
-            Uinv[k][j] += q * Uinv[k][i]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for k in range(nr):
-            Uinv[k][i], Uinv[k][j] = Uinv[k][j], Uinv[k][i]
-
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for k in range(nr):
-            Uinv[k][i] = -Uinv[k][i]
-
-    def col_sub(j, i, q):
-        # col_j -= q * col_i
-        for k in range(nr):
-            D[k][j] -= q * D[k][i]
-        for k in range(nc):
-            V[k][j] -= q * V[k][i]
-
-    def col_swap(i, j):
-        for k in range(nr):
-            D[k][i], D[k][j] = D[k][j], D[k][i]
-        for k in range(nc):
-            V[k][i], V[k][j] = V[k][j], V[k][i]
 
     t = 0
     limit = min(nr, nc)
@@ -223,89 +199,53 @@ def snf_transform(matrix):
         if not entries:
             break
         _, pi, pj = min(entries)
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
+        D[t], D[pi] = D[pi], D[t]
+        U[t], U[pi] = U[pi], U[t]
+        for row in D:
+            row[t], row[pj] = row[pj], row[t]
         dirty = False
         for i in range(t + 1, nr):
             if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                row_sub(i, t, q)
+                row_sub(i, t, D[i][t] // D[t][t])
                 if D[i][t] != 0:
                     dirty = True
         for j in range(t + 1, nc):
             if D[t][j] != 0:
                 q = D[t][j] // D[t][t]
-                col_sub(j, t, q)
+                for row in D:
+                    row[j] -= q * row[t]
                 if D[t][j] != 0:
                     dirty = True
         if dirty:
             continue
         p = D[t][t]
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if D[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next(
+            (i for i in range(t + 1, nr) if any(D[i][j] % p for j in range(t + 1, nc))), None
+        )
         if bad is not None:
             row_sub(t, bad, -1)
             continue
         if D[t][t] < 0:
-            row_negate(t)
+            D[t] = [-a for a in D[t]]
+            U[t] = [-a for a in U[t]]
         t += 1
-    return (mat_from_rows(U), mat_from_rows(Uinv), mat_from_rows(D), mat_from_rows(V))
-
-
-def snf_diagonal(matrix):
-    """Invariant factor list of an integer matrix, zeros for rank defects."""
-    _, _, d, _ = snf_transform(matrix)
-    k = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(k)]
+    return mat_from_rows(U), mat_from_rows(D)
 
 
 def integer_kernel(matrix):
     """Basis of the integer kernel {x : matrix * x == 0}, as column vectors.
 
-    The result generates a saturated sublattice (the full kernel lattice).
+    The rows of the Hermite form of [matrix^T | I] whose matrix part is
+    zero: the transform is unimodular, so they span the whole saturated
+    kernel, and their I parts are its Hermite basis.
     """
     m = mat_from_rows(matrix)
     nr = len(m)
     nc = len(m[0]) if nr else 0
     if nc == 0:
         return []
-    if nr == 0:
-        return [tuple(1 if i == j else 0 for i in range(nc)) for j in range(nc)]
-    _, _, d, v = snf_transform(m)
-    cols = []
-    for j in range(nc):
-        if j >= min(nr, nc) or d[j][j] == 0:
-            cols.append(tuple(v[i][j] for i in range(nc)))
-    return cols
-
-
-def solve_integer(matrix, rhs):
-    """One integer solution x of matrix * x == rhs, or None."""
-    m = mat_from_rows(matrix)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    if nr == 0:
-        return tuple(0 for _ in range(nc))
-    u, _, d, v = snf_transform(m)
-    ub = mat_vec(u, tuple(rhs))
-    y = [0] * nc
-    for i in range(nr):
-        di = d[i][i] if i < min(nr, nc) else 0
-        if di != 0:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
-            return None
-    return mat_vec(v, tuple(y))
+    block = [col + row for col, row in zip(transpose(m), identity_matrix(nc))]
+    return [h[nr:] for h in row_hermite(block) if vec_is_zero(h[:nr])]
 
 
 def rref(rows):
@@ -423,44 +363,33 @@ def intersect_lattices(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgrou
 def lattice_index(ambient: LatticeSubgroup, sub: LatticeSubgroup):
     """Index [ambient : sub] as a Fraction, or None when it is infinite.
 
-    Raises SubgroupError if sub is not contained in ambient.
+    Raises SubgroupError if sub is not contained in ambient. Lattices of
+    the same span have Hermite bases with the same pivot columns, so the
+    index is the product of sub's pivots over the product of ambient's.
     """
     if ambient.ambient_rank != sub.ambient_rank:
         raise ValueError("ambient ranks differ")
-    if sub.rank == 0:
-        if ambient.rank == 0:
-            return Fraction(1)
-        return None
-    cols = ambient.basis_columns()
-    coords = []
-    for g in sub.generators:
-        x = solve_integer(cols, g)
-        if x is None:
-            raise SubgroupError("generators do not lie in the ambient subgroup")
-        coords.append(x)
+    if sum_lattices(ambient, sub) != ambient:
+        raise SubgroupError("generators do not lie in the ambient subgroup")
     if sub.rank < ambient.rank:
         return None
-    coord_matrix = transpose(coords)  # ambient.rank x sub.rank
-    factors = snf_diagonal(coord_matrix)
-    idx = 1
-    for d in factors:
-        if d == 0:
-            return None
-        idx *= abs(d)
-    return Fraction(idx)
+    return Fraction(_pivot_product(sub) // _pivot_product(ambient))
+
+
+def _pivot_product(lattice: LatticeSubgroup) -> int:
+    return prod(next(a for a in g if a) for g in lattice.generators)
 
 
 def saturation(ambient_rank: int, vectors) -> LatticeSubgroup:
-    """Saturated lattice: the intersection of Z^n with the span of vectors."""
+    """Saturated lattice: the intersection of Z^n with the span of vectors,
+    the kernel of their kernel."""
     vecs = [tuple(int(a) for a in v) for v in vectors if not vec_is_zero(v)]
     if not vecs:
         return zero_subgroup(ambient_rank)
-    cols = transpose(vecs)  # columns are the generators
-    _, uinv, d, _ = snf_transform(cols)
-    nr = ambient_rank
-    nz = sum(1 for i in range(min(nr, len(vecs))) if d[i][i] != 0)
-    gens = [tuple(uinv[i][j] for i in range(nr)) for j in range(nz)]
-    return LatticeSubgroup.from_vectors(ambient_rank, gens)
+    ker = integer_kernel(vecs)
+    if not ker:
+        return standard_lattice(ambient_rank)
+    return LatticeSubgroup(ambient_rank, tuple(integer_kernel(ker)))
 
 
 def quotient_matrix(sub: LatticeSubgroup):
@@ -473,8 +402,7 @@ def quotient_matrix(sub: LatticeSubgroup):
     d = sub.rank
     if d == 0:
         return identity_matrix(n)
-    cols = sub.basis_columns()
-    u, _, diag, _ = snf_transform(cols)
+    u, diag = snf_transform(sub.basis_columns())
     for i in range(d):
         if abs(diag[i][i]) != 1:
             raise SubgroupError("subgroup is not saturated")

@@ -21,15 +21,16 @@ from math import factorial
 from stabletrop.cycles import TropicalCycle, cycle, zero_cycle
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
+    identity_matrix,
     integer_kernel,
     mat_vec,
     rational_to_primitive,
-    snf_diagonal,
+    row_hermite,
     transpose,
     vec_sub,
 )
 from stabletrop.polyhedra import Polyhedron, covered_by
-from stabletrop.stable import stable_intersection, stable_power
+from stabletrop.stable import stable_intersection
 
 
 @dataclass(frozen=True)
@@ -144,24 +145,23 @@ def normalized_volume(p: RationalPolytope) -> Fraction:
     n = p.ambient_dim
     if n == 0:
         raise DimensionError("volume needs a positive-dimensional ambient space")
-    z = stable_power(tropical_hypersurface(p), n)
-    if z.is_zero:
-        return Fraction(0)
-    return z.mult_at(tuple(0 for _ in range(n)))
+    return mixed_volume([p] * n)
 
 
 def mixed_volume(polys) -> Fraction:
     """Normalized mixed volume of n bodies in Q^n, so that
-    mixed_volume([p] * n) == normalized_volume(p)."""
+    mixed_volume([p] * n) == normalized_volume(p). Each distinct body's
+    hypersurface is built once."""
     polys = list(polys)
     if not polys:
         raise DimensionError("mixed volume needs at least one polytope")
     n = polys[0].ambient_dim
     if len(polys) != n or any(q.ambient_dim != n for q in polys):
         raise DimensionError("mixed volume needs exactly n bodies in Q^n")
+    hypersurfaces = {q: tropical_hypersurface(q) for q in dict.fromkeys(polys)}
     z = None
     for q in polys:
-        h = tropical_hypersurface(q)
+        h = hypersurfaces[q]
         z = h if z is None else stable_intersection(z, h)
         if z.is_zero:
             return Fraction(0)
@@ -170,7 +170,8 @@ def mixed_volume(polys) -> Fraction:
 
 def volume_polynomial_coefficient(polys, exponents) -> Fraction:
     """Coefficient of lambda^exponents in the normalized volume of
-    lambda_1 p_1 + ... + lambda_k p_k."""
+    lambda_1 p_1 + ... + lambda_k p_k: the multinomial coefficient times
+    the mixed volume of p_i repeated exponents_i times."""
     polys = list(polys)
     exponents = list(exponents)
     if len(polys) != len(exponents):
@@ -182,18 +183,10 @@ def volume_polynomial_coefficient(polys, exponents) -> Fraction:
         raise DimensionError("ambient dimensions differ")
     if sum(exponents) != n:
         raise ValidationError("exponents must sum to the ambient dimension")
-    z = None
-    for q, a in zip(polys, exponents):
-        if a == 0:
-            continue
-        h = stable_power(tropical_hypersurface(q), a)
-        z = h if z is None else stable_intersection(z, h)
-        if z.is_zero:
-            return Fraction(0)
     coeff = factorial(n)
     for a in exponents:
         coeff //= factorial(a)
-    return coeff * z.mult_at(tuple(0 for _ in range(n)))
+    return coeff * mixed_volume([q for q, a in zip(polys, exponents) for _ in range(a)])
 
 
 def subspace_cycle(n: int, generators, mult=1) -> TropicalCycle:
@@ -218,11 +211,11 @@ def preimage_cycle(matrix, x: TropicalCycle) -> TropicalCycle:
             raise DimensionError("ragged matrix")
         if any(a != int(a) for a in r):
             raise ValidationError("preimage needs an integer matrix")
-    if any(f != 1 for f in snf_diagonal(rows)):
+    cols = transpose(rows)
+    if row_hermite(cols) != identity_matrix(d):
         raise ValidationError("matrix is not surjective on lattice points")
     if x.is_zero:
         return zero_cycle(n)
-    cols = transpose(rows)
     cells = []
     for c, m in x.weighted_cells():
         ineqs = [(mat_vec(cols, r[:-1]), r[-1]) for r in c.ineq_rows]

@@ -227,7 +227,7 @@ def _transverse_pieces(x, y, v, eps):
 
 
 def perturbation_intersection(
-    x: TropicalCycle, y: TropicalCycle, vector=None, eps=Fraction(1)
+    x: TropicalCycle, y: TropicalCycle, eps=Fraction(1)
 ) -> PerturbationResult:
     """Exact perturbation engine for fan cycles.
 
@@ -250,16 +250,13 @@ def perturbation_intersection(
     for m in x.multiplicities + y.multiplicities:
         if m < 0:
             raise ValidationError("perturbation route requires positive weights")
-    gen = displacement_vector(x, y) if vector is None else vector
-    v = gen.vector if isinstance(gen, GenericVector) else tuple(gen)
-    if not isinstance(gen, GenericVector):
-        gen = GenericVector(v, 0, 0)
+    gen = displacement_vector(x, y)
     if x.is_zero or y.is_zero or x.dim + y.dim < n:
         # no pair spans, as in the engine: the zero cycle
         return PerturbationResult(zero_cycle(n), zero_cycle(n), gen, eps)
     k_res = x.dim + y.dim - n
-    pieces = _transverse_pieces(x, y, v, eps)
-    half = _transverse_pieces(x, y, v, eps / 2)
+    pieces = _transverse_pieces(x, y, gen.vector, eps)
+    half = _transverse_pieces(x, y, gen.vector, eps / 2)
     sig = sorted((i, j, w.recession().key()) for i, j, _, w in pieces)
     sig_half = sorted((i, j, w.recession().key()) for i, j, _, w in half)
     if sig != sig_half:

@@ -24,7 +24,12 @@ through the first factor, a cross-check of the engine on other inputs,
 and `link_cycle` the local picture of a cycle at a point.
 `fraction_feasible_point`
 is the phase-1 simplex run on a Fraction tableau, the reference for the
-library's integer tableau. `contains_vector` and
+library's integer tableau. `smith_transform` is the Smith form with all
+four transforms U, U^-1, D and V; `snf_diagonal`, `solve_integer`,
+`smith_integer_kernel`, `smith_saturation` and `smith_lattice_index`
+read invariant factors, integer solutions, kernels, saturations and
+indices off it, the references for the library's Hermite forms and for
+the U and D of its `snf_transform`. `contains_vector` and
 `is_subgroup_of` decide lattice membership by an integer solve, and
 `rank_rows` is a rank of integer or Fraction rows. `canonical_vrep` and
 `canonical_hrep` are the former canonicalizing post-passes of `vrep` and
@@ -49,17 +54,22 @@ from stabletrop.cycles import (
 )
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
+    LatticeSubgroup,
+    SubgroupError,
+    identity_matrix,
     int_rank,
+    mat_from_rows,
+    mat_vec,
     nullspace_rational,
     quotient_matrix,
     rational_to_primitive,
     rref,
     saturation,
-    solve_integer,
     transpose,
     vec_dot,
     vec_is_zero,
     vec_sub,
+    zero_subgroup,
 )
 from stabletrop.linprog import feasible_point
 from stabletrop.polyhedra import Polyhedron, covered_by, point_in_sum
@@ -407,6 +417,177 @@ def fraction_feasible_point(n, ineqs=(), eqs=()):
     for i, col in enumerate(basis):
         x[col] = rhs[i]
     return tuple(x[j] - x[n + j] for j in range(n))
+
+
+def smith_transform(matrix):
+    """Smith normal form with all four transforms.
+
+    Returns (U, Uinv, D, V) with U * matrix * V == D, where U and V are
+    unimodular, Uinv is the inverse of U, and D is diagonal with
+    nonnegative invariant factors d1 | d2 | ...
+    """
+    D = [list(int(a) for a in r) for r in matrix]
+    nr = len(D)
+    nc = len(D[0]) if nr else 0
+    U = [list(r) for r in identity_matrix(nr)]
+    Uinv = [list(r) for r in identity_matrix(nr)]
+    V = [list(r) for r in identity_matrix(nc)]
+
+    def row_sub(i, j, q):
+        # row_i -= q * row_j; Uinv gets the inverse column operation
+        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        for k in range(nr):
+            Uinv[k][j] += q * Uinv[k][i]
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        for k in range(nr):
+            Uinv[k][i], Uinv[k][j] = Uinv[k][j], Uinv[k][i]
+
+    def row_negate(i):
+        D[i] = [-a for a in D[i]]
+        U[i] = [-a for a in U[i]]
+        for k in range(nr):
+            Uinv[k][i] = -Uinv[k][i]
+
+    def col_sub(j, i, q):
+        # col_j -= q * col_i
+        for k in range(nr):
+            D[k][j] -= q * D[k][i]
+        for k in range(nc):
+            V[k][j] -= q * V[k][i]
+
+    def col_swap(i, j):
+        for k in range(nr):
+            D[k][i], D[k][j] = D[k][j], D[k][i]
+        for k in range(nc):
+            V[k][i], V[k][j] = V[k][j], V[k][i]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        entries = [(abs(D[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if D[i][j] != 0]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        dirty = False
+        for i in range(t + 1, nr):
+            if D[i][t] != 0:
+                q = D[i][t] // D[t][t]
+                row_sub(i, t, q)
+                if D[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if D[t][j] != 0:
+                q = D[t][j] // D[t][t]
+                col_sub(j, t, q)
+                if D[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        p = D[t][t]
+        bad = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if D[i][j] % p != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_sub(t, bad, -1)
+            continue
+        if D[t][t] < 0:
+            row_negate(t)
+        t += 1
+    return (mat_from_rows(U), mat_from_rows(Uinv), mat_from_rows(D), mat_from_rows(V))
+
+
+def snf_diagonal(matrix):
+    """Invariant factor list of an integer matrix, zeros for rank defects."""
+    _, _, d, _ = smith_transform(matrix)
+    k = min(len(d), len(d[0]) if d else 0)
+    return [d[i][i] for i in range(k)]
+
+
+def solve_integer(matrix, rhs):
+    """One integer solution x of matrix * x == rhs, or None."""
+    m = mat_from_rows(matrix)
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    if nr == 0:
+        return tuple(0 for _ in range(nc))
+    u, _, d, v = smith_transform(m)
+    ub = mat_vec(u, tuple(rhs))
+    y = [0] * nc
+    for i in range(nr):
+        di = d[i][i] if i < min(nr, nc) else 0
+        if di != 0:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i] != 0:
+            return None
+    return mat_vec(v, tuple(y))
+
+
+def smith_integer_kernel(matrix):
+    """Integer kernel basis read off the columns of V in U * matrix * V == D."""
+    m = mat_from_rows(matrix)
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    if nc == 0:
+        return []
+    _, _, d, v = smith_transform(m)
+    return [
+        tuple(v[i][j] for i in range(nc))
+        for j in range(nc)
+        if j >= min(nr, nc) or d[j][j] == 0
+    ]
+
+
+def smith_saturation(ambient_rank, vectors):
+    """Saturated lattice spanned by the first rank columns of Uinv."""
+    vecs = [tuple(int(a) for a in v) for v in vectors if not vec_is_zero(v)]
+    if not vecs:
+        return zero_subgroup(ambient_rank)
+    _, uinv, d, _ = smith_transform(transpose(vecs))
+    nz = sum(1 for i in range(min(ambient_rank, len(vecs))) if d[i][i] != 0)
+    gens = [tuple(uinv[i][j] for i in range(ambient_rank)) for j in range(nz)]
+    return LatticeSubgroup.from_vectors(ambient_rank, gens)
+
+
+def smith_lattice_index(ambient, sub):
+    """Index [ambient : sub] by one integer solve per generator of sub and
+    the invariant factors of its coordinates: a Fraction, None when it is
+    infinite, SubgroupError when sub is not contained in ambient."""
+    if ambient.ambient_rank != sub.ambient_rank:
+        raise ValueError("ambient ranks differ")
+    if sub.rank == 0:
+        if ambient.rank == 0:
+            return Fraction(1)
+        return None
+    cols = ambient.basis_columns()
+    coords = []
+    for g in sub.generators:
+        x = solve_integer(cols, g)
+        if x is None:
+            raise SubgroupError("generators do not lie in the ambient subgroup")
+        coords.append(x)
+    if sub.rank < ambient.rank:
+        return None
+    idx = 1
+    for d in snf_diagonal(transpose(coords)):
+        if d == 0:
+            return None
+        idx *= abs(d)
+    return Fraction(idx)
 
 
 def contains_vector(lattice, v):

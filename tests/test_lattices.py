@@ -1,18 +1,35 @@
-"""Lattice layer: Hermite/Smith forms, indexes, kernels, saturation.
+"""Lattice layer: Hermite forms, indexes, kernels, saturation, and the
+Smith form behind the quotient map.
 
 Expected values in the direct tests were frozen from hand computations
 before the implementation existed (2x2 determinants, gcd arguments, and
-explicit coset counting on small boxes).
+explicit coset counting on small boxes). The library reads indices,
+kernels and saturations off Hermite forms; the Smith forms with all four
+transforms in `oracles` (`smith_transform`, `snf_diagonal`,
+`solve_integer` and the routes built on them) are the reference they are
+checked against, and the reference of `snf_transform`'s U and D.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from oracles import contains_vector, is_subgroup_of, mat_mul, rank_rows, solve_rational
+from oracles import (
+    contains_vector,
+    is_subgroup_of,
+    mat_mul,
+    rank_rows,
+    smith_integer_kernel,
+    smith_lattice_index,
+    smith_saturation,
+    smith_transform,
+    snf_diagonal,
+    solve_integer,
+    solve_rational,
+)
 from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
@@ -30,9 +47,7 @@ from stabletrop.lattices import (
     row_hermite,
     rref,
     saturation,
-    snf_diagonal,
     snf_transform,
-    solve_integer,
     standard_lattice,
     sum_lattices,
     transpose,
@@ -49,6 +64,12 @@ def int_matrix(n, m):
         min_size=n,
         max_size=n,
     ).map(tuple)
+
+
+def any_matrix():
+    return st.integers(min_value=0, max_value=4).flatmap(
+        lambda r: st.integers(min_value=1, max_value=5).flatmap(lambda c: int_matrix(r, c))
+    )
 
 
 # ---------------------------------------------------------------- primitives
@@ -159,7 +180,7 @@ def test_snf_frozen_examples():
 
 @given(int_matrix(3, 3))
 def test_snf_transform_contract(m):
-    u, uinv, d, v = snf_transform(m)
+    u, uinv, d, v = smith_transform(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert mat_mul(u, uinv) == identity_matrix(3)
     diag = [d[i][i] for i in range(3)]
@@ -177,9 +198,19 @@ def test_snf_transform_contract(m):
 
 @given(int_matrix(2, 4))
 def test_snf_rectangular(m):
-    u, uinv, d, v = snf_transform(m)
+    u, uinv, d, v = smith_transform(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert mat_mul(u, uinv) == identity_matrix(2)
+
+
+@given(any_matrix())
+@example(((2, 0), (0, 3)))
+@example(((4, 6, 0), (6, 9, 2), (0, 3, 5)))
+def test_snf_transform_matches_reference(m):
+    # the row transform and the diagonal are the reference's, pivot for
+    # pivot; the examples take the step that mends a non-dividing entry
+    u, _, d, _ = smith_transform(m)
+    assert snf_transform(m) == (u, d)
 
 
 # ------------------------------------------------------------ linear solves
@@ -240,6 +271,23 @@ def test_integer_kernel_annihilates(m):
         assert mat_vec(m, v) == (0, 0)
 
 
+@given(any_matrix())
+def test_integer_kernel_matches_reference(m):
+    # the Hermite basis of the lattice the Smith route spans
+    nc = len(m[0]) if m else 0
+    ker = integer_kernel(m)
+    expected = LatticeSubgroup.from_vectors(nc, smith_integer_kernel(m))
+    assert tuple(ker) == expected.generators
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(small_int, min_size=n, max_size=n), max_size=4))
+))
+def test_saturation_matches_reference(data):
+    n, rows = data
+    assert saturation(n, rows) == smith_saturation(n, rows)
+
+
 # ---------------------------------------------------------------- subgroups
 
 
@@ -271,6 +319,33 @@ def test_lattice_index_rejects_non_subgroup():
     rect = LatticeSubgroup.from_vectors(2, [(2, 0), (0, 2)])
     with pytest.raises(SubgroupError):
         lattice_index(rect, standard_lattice(2))
+
+
+def index_or_error(index, ambient, sub):
+    try:
+        return index(ambient, sub)
+    except SubgroupError:
+        return SubgroupError
+
+
+@given(st.data())
+def test_lattice_index_matches_reference(data):
+    # zero, rank-deficient and full-rank lattices, sub drawn inside the
+    # ambient (integer combinations of its generators) or freely
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    vec = st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n).map(tuple)
+    ambient = LatticeSubgroup.from_vectors(n, data.draw(st.lists(vec, max_size=n + 1)))
+    if data.draw(st.booleans()):
+        coeffs = st.lists(small_int, min_size=ambient.rank, max_size=ambient.rank)
+        gens = [
+            tuple(sum(c * g[j] for c, g in zip(cs, ambient.generators)) for j in range(n))
+            for cs in data.draw(st.lists(coeffs, max_size=n + 1))
+        ]
+    else:
+        gens = data.draw(st.lists(vec, max_size=n + 1))
+    sub = LatticeSubgroup.from_vectors(n, gens)
+    expected = index_or_error(smith_lattice_index, ambient, sub)
+    assert index_or_error(lattice_index, ambient, sub) == expected
 
 
 def test_intersect_frozen_example():

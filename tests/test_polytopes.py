@@ -257,6 +257,15 @@ def test_preimage_requires_lattice_surjective():
         preimage_cycle([(2, 0)], line)
 
 
+def test_preimage_rejects_more_rows_than_columns():
+    # Q^1 -> Q^2, t -> (t, 0), hits no lattice point off the first axis;
+    # pulling back the line y = 0 would give a cycle of codimension 0
+    axis = cycle(2, [(Polyhedron.from_hrep(2, [], [((0, 1), 0)]), 1)])
+    with pytest.raises(ValidationError, match="not surjective"):
+        preimage_cycle([(1,), (0,)], axis)
+    assert cycles_equal(preimage_cycle([(1, 0), (0, 1)], axis), axis)
+
+
 coord_proj = st.sampled_from(
     [
         (2, [(1, 0)]),

@@ -29,7 +29,7 @@ from stabletrop.cycles import (
 from stabletrop import lattices, polyhedra, stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
-from stabletrop.polytopes import polytope, tropical_hypersurface
+from stabletrop.polytopes import normalized_volume, polytope, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
     _spanning_pairs,
@@ -466,6 +466,19 @@ def test_engine_decides_pairs_without_a_fraction_null_space(monkeypatch):
     assert len(calls) == 0
     assert not hasattr(polyhedra, "nullspace_rational")
     assert not hasattr(polyhedra, "rref")
+
+
+def test_engine_takes_no_smith_form(monkeypatch):
+    # lattice indices, kernels and saturations are read off Hermite forms;
+    # only `quotient_matrix` takes a Smith form, and neither the engine
+    # nor a volume builds one
+    x, y = hypersurface_pair()
+    calls = []
+    snf = lattices.snf_transform
+    monkeypatch.setattr(lattices, "snf_transform", lambda m: calls.append(1) or snf(m))
+    assert len(stable_intersection_report(x, y).result.cells) == 14
+    assert normalized_volume(polytope(3, [(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 2)])) == 4
+    assert len(calls) == 0
 
 
 # ------------------------------------------------------------- cross routes
