@@ -39,9 +39,12 @@ emptiness branch: the rows or generators they read already say it.
 Faces need no conversion. A face of P is cut out by some of P's facet
 rows, and its generators are those of P on which the rows are tight
 (`_face`); the sub-tuple of P's canonical V-rep is the face's canonical
-V-rep, since a face keeps P's lineality. `facets`, `minimal_face_at` and
-`all_faces` are all built this way, and `dim` is read off the V side,
-so a face's H-rep is computed only when asked for.
+V-rep, since a face keeps P's lineality. `facets` and `minimal_face_at`
+are built this way, and `all_faces` reads every face off the
+incidences: each facet row's tight set of generator indices, computed
+once in integers, and their intersections, one face per distinct set
+that holds a point. `dim` is read off the V side, so a face's H-rep is
+computed only when asked for.
 """
 
 from __future__ import annotations
@@ -452,20 +455,30 @@ class Polyhedron:
 
     def all_faces(self):
         """Every nonempty face, including the polyhedron itself, in
-        (dim, key) order: the faces of P are the nonempty intersections
-        of its facets, found by cutting faces with P's facet rows."""
+        (dim, key) order, read off incidences (Kaibel–Pfetsch): a face is
+        the set of P's canonical generators it holds, and the sets are the
+        full set closed under intersection with each facet row's tight
+        set, computed once in integers. A set that holds no point is the
+        empty face; each other set gives one face, its V-rep the sub-tuple
+        of P's (as in `_face`)."""
         if self._faces is None:
-            rows = self.hrep()[0]
-            seen = {}
-            stack = [self]
+            points, rays, lin = self.vrep()
+            k = len(points)
+            gens = [rational_to_primitive(p + (-1,)) for p in points] + [r + (0,) for r in rays]
+            tight = [frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0) for r in self.hrep()[0]]
+            full = frozenset(range(len(gens)))
+            sets = {full: self} if k else {}
+            stack = list(sets)
             while stack:
-                f = stack.pop()
-                k = f.key()
-                if f.is_empty or k in seen:
-                    continue
-                seen[k] = f
-                stack.extend(f._face([r]) for r in rows)
-            self._faces = tuple(sorted(seen.values(), key=lambda f: (f.dim, f.key())))
+                s = stack.pop()
+                for t in tight:
+                    c = s & t
+                    if c not in sets and min(c, default=k) < k:
+                        face = sets[c] = Polyhedron(self.ambient_dim)
+                        pts = tuple(points[i] for i in sorted(c) if i < k)
+                        face._vrep = (pts, tuple(rays[i - k] for i in sorted(c) if i >= k), lin)
+                        stack.append(c)
+            self._faces = tuple(sorted(sets.values(), key=lambda f: (f.dim, f.key())))
         return self._faces
 
     def is_face_of(self, other):

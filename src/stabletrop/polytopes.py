@@ -4,7 +4,8 @@ Min-plus convention throughout: the hypersurface of a polytope P is the
 codimension-one part of its normal fan, where the normal cone of a face
 F collects the weight vectors minimized on F. Each edge contributes its
 normal cone, weighted by the lattice length of the edge. A point has an
-empty edge set, so its hypersurface is the zero cycle.
+empty edge set, so its hypersurface is the zero cycle. Edges and their
+cones are read off the vertex-facet incidences, with no conversion.
 
 The normalization makes the volume of the unit simplex 1, so the weight
 of the origin in the n-th stable power of the hypersurface is n! times
@@ -24,9 +25,13 @@ from stabletrop.lattices import (
     identity_matrix,
     integer_kernel,
     mat_vec,
+    primitive,
     rational_to_primitive,
+    reduce_modulo,
     row_hermite,
+    saturation,
     transpose,
+    vec_dot,
     vec_sub,
 )
 from stabletrop.polyhedra import Polyhedron, covered_by
@@ -109,33 +114,36 @@ def cube(n: int) -> RationalPolytope:
     return polytope(n, pts)
 
 
-def lattice_length(edge: Polyhedron) -> Fraction:
-    """Length of a segment in units of the primitive lattice vector along it."""
-    if edge.dim != 1 or not edge.is_bounded:
-        raise ValidationError("lattice length needs a bounded segment")
-    pts, _, _ = edge.vrep()
-    d = vec_sub(pts[1], pts[0])
-    p = rational_to_primitive(d)
-    i = next(k for k, x in enumerate(p) if x != 0)
-    return Fraction(d[i], p[i])
-
-
 def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
-    """Codimension-one normal cones of p, weighted by edge lattice lengths."""
+    """Codimension-one normal cones of p, weighted by edge lattice lengths,
+    read off p's canonical H-rep with no conversion per cone. With T(v)
+    the facet rows tight at a vertex v, [u, v] is an edge when no third
+    vertex w has T(u) ∩ T(v) ⊆ T(w) (Fukuda–Prodon); its cone has the
+    extreme rays -a for (a, b) in T(u) ∩ T(v) and the span of the equality
+    normals as lineality, written in the canonical form `_dd` returns."""
     n = p.ambient_dim
     poly = p.polyhedron
-    if poly.dim == 0:
+    verts = poly.vrep()[0]
+    if len(verts) == 1:
         return zero_cycle(n)
+    ineqs, eqs = poly.hrep()
+    lin = saturation(n, [r[:n] for r in eqs]).generators
+    hom = [rational_to_primitive(v + (-1,)) for v in verts]
+    tight = [frozenset(i for i, r in enumerate(ineqs) if vec_dot(r, h) == 0) for h in hom]
+    origin = (Fraction(0),) * n
     cells = []
-    for e in poly.all_faces():
-        if e.dim != 1:
-            continue
-        pts, _, _ = e.vrep()
-        u = pts[0]
-        ineqs = [(vec_sub(u, x), 0) for x in p.vertices]
-        eqs = [(vec_sub(pts[1], u), 0)]
-        cone = Polyhedron.from_hrep(n, ineqs, eqs)
-        cells.append((cone, lattice_length(e)))
+    for j, v in enumerate(verts):
+        for i, u in enumerate(verts[:j]):
+            common = tight[i] & tight[j]
+            if any(common <= t for w, t in enumerate(tight) if w != i and w != j):
+                continue
+            rays = reduce_modulo(lin, [tuple(-a for a in ineqs[r][:n]) for r in common])
+            cone = Polyhedron(n)
+            cone._vrep = ((origin,), tuple(sorted({primitive(r) for r in rays})), lin)
+            d = vec_sub(v, u)
+            step = rational_to_primitive(d)
+            c = next(c for c, a in enumerate(step) if a)
+            cells.append((cone, d[c] / step[c]))
     return cycle(n, cells)
 
 
@@ -174,10 +182,13 @@ def volume_polynomial_coefficient(polys, exponents) -> Fraction:
     the mixed volume of p_i repeated exponents_i times."""
     polys = list(polys)
     exponents = list(exponents)
+    if not polys:
+        raise DimensionError("volume polynomial needs at least one polytope")
     if len(polys) != len(exponents):
         raise ValidationError("one exponent per polytope")
     if any(a < 0 or a != int(a) for a in exponents):
         raise ValidationError("exponents must be nonnegative integers")
+    exponents = [int(a) for a in exponents]
     n = polys[0].ambient_dim
     if any(q.ambient_dim != n for q in polys):
         raise DimensionError("ambient dimensions differ")

@@ -14,7 +14,8 @@ right-hand sides shifted by a·v (`point_in_sum`); where the
 intersection is a point, this is the mixed-cell test of the tropical
 Bernstein count. Only a pair that passes builds its intersection. The
 vector v avoids the spans of the rank-deficient face-lattice pairs, each
-found by a fraction-free rank test before its Hermite form is taken
+found by a fraction-free rank test; a pair nested in one side's span
+sums to that side, and only the others take a Hermite form
 (`displacement_vector`). The terms are overlaid one affine hull at a
 time (`normalize_weighted`), so the overlay never sees two hulls at once.
 A product with the one cell c · Q^n is read off as c times that overlay
@@ -91,13 +92,20 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     """Certified generic displacement for the pair (x, y): avoids the span
     of every deficient face pair, hence the codimension-one skeleton of
     the Minkowski differences of all links. A pair's rank is decided by
-    fraction-free elimination (`int_rank`); only a deficient pair takes
-    the Hermite form of its sum, the span to avoid."""
+    fraction-free elimination (`int_rank`). The lattices are saturated,
+    so a deficient pair whose rank is one side's rank is nested in that
+    side, which is its sum; only the other deficient pairs take the
+    Hermite form of their sum, the span to avoid."""
     n = x.ambient_dim
     lx, ly = (
         dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()) for z in (x, y)
     )
-    avoid = [sum_lattices(a, b) for a in lx for b in ly if int_rank(a.generators + b.generators) < n]
+    avoid = []
+    for a in lx:
+        for b in ly:
+            rank = int_rank(a.generators + b.generators)
+            if rank < n:
+                avoid.append(a if rank == a.rank else b if rank == b.rank else sum_lattices(a, b))
     return pick_generic_vector(n, avoid)
 
 

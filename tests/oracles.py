@@ -36,7 +36,10 @@ the U and D of its `snf_transform`. `contains_vector` and
 `hrep`, a `Fraction` rref modulo the saturated lineality
 (`_mod_reducer`, `_canonical_cone`), the reference for the integer
 reduction inside the library's `_dd`. `support_contains` tests a region
-against the support of a cycle.
+against the support of a cycle. `hrep_hypersurface` is the former
+construction of a tropical hypersurface, each edge's normal cone built
+from one H-row per vertex and converted, weighted by `lattice_length`,
+the reference for the cones read off the polytope's incidences.
 """
 
 from fractions import Fraction
@@ -706,6 +709,38 @@ def hrep_all_faces(p):
         seen[k] = f
         stack.extend(hrep_facets(f))
     return tuple(sorted(seen.values(), key=lambda f: (hrep_dim(f), f.key())))
+
+
+def lattice_length(edge):
+    """Length of a segment in units of the primitive lattice vector along it."""
+    if edge.dim != 1 or not edge.is_bounded:
+        raise ValidationError("lattice length needs a bounded segment")
+    pts, _, _ = edge.vrep()
+    d = vec_sub(pts[1], pts[0])
+    p = rational_to_primitive(d)
+    i = next(k for k, x in enumerate(p) if x != 0)
+    return Fraction(d[i], p[i])
+
+
+def hrep_hypersurface(p):
+    """Tropical hypersurface of a polytope from H-rows: each edge [u, v]
+    among the faces rebuilt from the H-rep gives the cone of w with
+    w.u <= w.x for every vertex x and w.(v - u) == 0, converted, weighted
+    by `lattice_length`."""
+    n = p.ambient_dim
+    poly = p.polyhedron
+    if poly.dim == 0:
+        return zero_cycle(n)
+    cells = []
+    for e in hrep_all_faces(poly):
+        if e.dim != 1:
+            continue
+        pts, _, _ = e.vrep()
+        u = pts[0]
+        ineqs = [(vec_sub(u, x), 0) for x in p.vertices]
+        eqs = [(vec_sub(pts[1], u), 0)]
+        cells.append((Polyhedron.from_hrep(n, ineqs, eqs), lattice_length(e)))
+    return cycle(n, cells)
 
 
 @lru_cache(maxsize=4)

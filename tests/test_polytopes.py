@@ -11,16 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_dim_volume, mixed_volume_oracle
+from oracles import full_dim_volume, hrep_hypersurface, lattice_length, mixed_volume_oracle
+from stabletrop import polyhedra
 from stabletrop.cycles import cycle, cycles_equal, is_balanced, scalar, zero_cycle
-from stabletrop.errors import ValidationError
+from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import (
     RationalPolytope,
     cube,
     fatten_cycle,
     from_polyhedron,
-    lattice_length,
     mixed_volume,
     normalized_volume,
     polytope,
@@ -138,6 +138,51 @@ def polytopes_nd(draw, n, max_pts=6):
     return polytope(n, pts)
 
 
+def test_hypersurface_cones_need_no_conversion(monkeypatch):
+    # the cones are read off the body's canonical H-rep: the _dd calls are
+    # the body's V-rep and H-rep, not one per cone (8 when each cone was
+    # built from H-rows and converted), and the cells' keys and V-reps
+    # are already canonical
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    calls = []
+    dd = polyhedra._dd
+    monkeypatch.setattr(polyhedra, "_dd", lambda *a: calls.append(a) or dd(*a))
+    monkeypatch.setattr(Polyhedron, "from_hrep", lambda *a, **k: pytest.fail("from_hrep"))
+    monkeypatch.setattr(Polyhedron, "all_faces", lambda self: pytest.fail("all_faces"))
+    t = tropical_hypersurface(p)
+    assert len(t.cells) == 6 and len(calls) == 2
+    for c in t.cells:
+        c.key(), c.vrep()
+    assert len(calls) == 2
+
+
+fraction_coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def hypersurface_bodies(draw):
+    """Lattice polytopes in Q^1-Q^3, some with fractional vertices, some
+    segments or polygons in Q^3 (points on a plane or a line)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    coord = draw(st.sampled_from([small_coord, fraction_coord]))
+    k = draw(st.integers(min_value=1, max_value=6))
+    pts = [tuple(draw(coord) for _ in range(n)) for _ in range(k)]
+    if n == 3:
+        flat = draw(st.sampled_from(["full", "plane", "line"]))
+        if flat == "plane":
+            pts = [(x, y, 2 * x - y + 1) for x, y, _ in pts]
+        elif flat == "line":
+            pts = [(x, 3 * x - 1, 1 - x) for x, _, _ in pts]
+    return polytope(n, pts)
+
+
+@given(hypersurface_bodies())
+def test_hypersurface_matches_hrep_construction(p):
+    t, ref = tropical_hypersurface(p), hrep_hypersurface(p)
+    assert [c.key() for c in t.cells] == [c.key() for c in ref.cells]
+    assert t.multiplicities == ref.multiplicities
+
+
 @given(polytopes_nd(2))
 @settings(max_examples=30)
 def test_hypersurface_balanced_2d(p):
@@ -192,8 +237,6 @@ def test_mixed_volume_anchors():
 
 def test_mixed_volume_validation():
     s = standard_simplex(2)
-    from stabletrop.errors import DimensionError
-
     with pytest.raises(DimensionError):
         mixed_volume([s])
     with pytest.raises(DimensionError):
@@ -231,6 +274,21 @@ def test_volume_polynomial_validation():
         volume_polynomial_coefficient([s, s], [1, 2])
     with pytest.raises(ValidationError):
         volume_polynomial_coefficient([s], [1, 1])
+
+
+def test_volume_polynomial_exponent_types():
+    # integral exponents of any numeric type are read as ints; fractional
+    # or negative ones and empty lists are refused with the library's
+    # errors, not TypeError or IndexError
+    s, q = standard_simplex(2), cube(2)
+    assert volume_polynomial_coefficient([s, q], [Fraction(1), 1.0]) == 4
+    assert volume_polynomial_coefficient([s, q], [Fraction(2), 0]) == 1
+    assert volume_polynomial_coefficient([s, q], [0, 2.0]) == 2
+    for bad in ([1.5, 0.5], [-1, 3], [Fraction(3, 2), Fraction(1, 2)]):
+        with pytest.raises(ValidationError):
+            volume_polynomial_coefficient([s, q], bad)
+    with pytest.raises(DimensionError):
+        volume_polynomial_coefficient([], [])
 
 
 # -------------------------------------------------------------- projections

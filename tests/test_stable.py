@@ -440,14 +440,16 @@ def test_engine_converts_only_contributing_intersections(monkeypatch):
 
 def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch):
     # 11 x 11 face lattices give 121 pairs; fraction-free elimination finds
-    # the 45 of rank < 3, and only those take the Hermite form of their sum;
-    # the certificate is the one the Hermite form of every pair gives
+    # the 45 of rank < 3, and only the 16 of those whose rank exceeds both
+    # sides' take the Hermite form of their sum: the lattices are
+    # saturated, so a pair of one side's rank sums to that side; the
+    # certificate is the one the Hermite form of every pair gives
     x, y = hypersurface_pair()
     calls = []
     hnf = stable.sum_lattices
     monkeypatch.setattr(stable, "sum_lattices", lambda a, b: calls.append(1) or hnf(a, b))
     assert displacement_vector(x, y) == GenericVector((1, 3, 9), 3, 29)
-    assert len(calls) == 45
+    assert len(calls) == 16
 
 
 def test_engine_decides_pairs_without_a_fraction_null_space(monkeypatch):
