@@ -33,7 +33,7 @@ from stabletrop.cycles import (
     zero_cycle,
 )
 from stabletrop.errors import DimensionError, ValidationError
-from stabletrop.lattices import nullspace_rational, quotient_matrix, rref
+from stabletrop.lattices import quotient_matrix, reduced_echelon
 from stabletrop.linprog import feasible_point
 from stabletrop.polyhedra import (
     Polyhedron,
@@ -168,6 +168,20 @@ class WallBasis:
         return [self.weighting_cycle(v) for v in self.vectors]
 
 
+def _null_space(rows, ncols):
+    """Basis of the rational null space of the rows, one vector per free
+    column of their reduced echelon form."""
+    reduced, pivots = reduced_echelon(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(int(j == f)) for j in range(ncols)]
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(tuple(v))
+    return basis
+
+
 def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
     """Basis of the space of balanced weightings on the given fan walls.
 
@@ -195,7 +209,7 @@ def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
             eq[0][idx] = Fraction(u[0])
             eq[1][idx] = Fraction(u[1])
         rows.extend(tuple(r) for r in eq)
-    vectors = list(nullspace_rational(rows, ncols=len(wall_list)))
+    vectors = _null_space(rows, len(wall_list))
     cert = None
     if wall_list:
         ineqs = []
@@ -300,7 +314,7 @@ def decompose_into_powers(z: TropicalCycle, basis):
     matrix = [
         tuple(products[c].mult_at(g) for c in cols) + (z.mult_at(g),) for g in probes
     ]
-    reduced, pivots = rref(matrix)
+    reduced, pivots = reduced_echelon(matrix)
     if len(cols) in pivots:
         raise ValidationError("cycle is not a combination of basis products")
     coeffs = {}

@@ -5,10 +5,12 @@ point appears anywhere in this package. Vectors are plain tuples and
 matrices are tuples of row tuples, so every value is hashable and can be
 used as a canonical dictionary key.
 
-Hermite forms answer the lattice questions: subgroup sums, integer
-kernels (the Hermite form of [M^T | I]), saturations (the kernel of the
-kernel) and indices (a ratio of Hermite pivots). The Smith row transform
-gives only the quotient map (`quotient_matrix`).
+Two eliminations serve every caller. Hermite forms answer the lattice
+questions: subgroup sums, integer kernels and the quotient map (both the
+Hermite form of [M^T | I]), saturations (the kernel of the kernel) and
+indices (a ratio of Hermite pivots). The fraction-free (Bareiss) echelon
+gives ranks, span tests, reductions modulo a span, and the reduced
+echelon form over Q by integer back-substitution.
 """
 
 from __future__ import annotations
@@ -132,6 +134,20 @@ def in_span(rows, vectors) -> list:
     return [vec_is_zero(v) for v in reduce_modulo(_echelon(rows), vectors)]
 
 
+def reduced_echelon(rows):
+    """Reduced row echelon form over Q of a matrix of ints and Fractions,
+    with its pivot columns. Each row is cleared of denominators, the
+    integer rows are put in echelon by `_echelon`, and each echelon row,
+    from the last up, is reduced modulo the rows below it and divided by
+    the gcd of its entries; one division per entry by the pivot then
+    gives the unique reduced form."""
+    reduced = []
+    for e in reversed(_echelon([rational_to_primitive(r) for r in rows if any(r)])):
+        reduced.insert(0, primitive(reduce_modulo(reduced, [e])[0]))
+    pivots = tuple(next(c for c, a in enumerate(e) if a) for e in reduced)
+    return tuple(tuple(Fraction(a, e[c]) for a in e) for e, c in zip(reduced, pivots)), pivots
+
+
 def row_hermite(rows) -> IntMatrix:
     """Row Hermite normal form of an integer matrix.
 
@@ -175,63 +191,6 @@ def row_hermite(rows) -> IntMatrix:
     return tuple(tuple(row) for row in m[:r])
 
 
-def snf_transform(matrix):
-    """Smith normal form with its row transform.
-
-    Returns (U, D) with U * matrix * V == D for some unimodular V, where U
-    is unimodular and D is diagonal with nonnegative invariant factors
-    d1 | d2 | ...; the column operations act on D alone.
-    """
-    D = [list(int(a) for a in r) for r in matrix]
-    nr = len(D)
-    nc = len(D[0]) if nr else 0
-    U = [list(r) for r in identity_matrix(nr)]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        entries = [(abs(D[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if D[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        D[t], D[pi] = D[pi], D[t]
-        U[t], U[pi] = U[pi], U[t]
-        for row in D:
-            row[t], row[pj] = row[pj], row[t]
-        dirty = False
-        for i in range(t + 1, nr):
-            if D[i][t] != 0:
-                row_sub(i, t, D[i][t] // D[t][t])
-                if D[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                for row in D:
-                    row[j] -= q * row[t]
-                if D[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        p = D[t][t]
-        bad = next(
-            (i for i in range(t + 1, nr) if any(D[i][j] % p for j in range(t + 1, nc))), None
-        )
-        if bad is not None:
-            row_sub(t, bad, -1)
-            continue
-        if D[t][t] < 0:
-            D[t] = [-a for a in D[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return mat_from_rows(U), mat_from_rows(D)
-
-
 def integer_kernel(matrix):
     """Basis of the integer kernel {x : matrix * x == 0}, as column vectors.
 
@@ -246,52 +205,6 @@ def integer_kernel(matrix):
         return []
     block = [col + row for col, row in zip(transpose(m), identity_matrix(nc))]
     return [h[nr:] for h in row_hermite(block) if vec_is_zero(h[:nr])]
-
-
-def rref(rows):
-    """Reduced row echelon form over Q. Returns (rows, pivot_columns)."""
-    m = [[Fraction(a) for a in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
-
-
-def nullspace_rational(rows, ncols=None):
-    """Basis of the rational null space of a matrix, deterministic order."""
-    nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    if not rows:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(nc)) for j in range(nc)]
-    red, pivots = rref(rows)
-    free = [j for j in range(nc) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -395,15 +308,14 @@ def saturation(ambient_rank: int, vectors) -> LatticeSubgroup:
 def quotient_matrix(sub: LatticeSubgroup):
     """Integer matrix projecting Z^n onto Z^(n-d) with kernel exactly sub.
 
-    Requires sub to be saturated; rows come from the Smith transform of the
-    generator matrix, so the map is surjective onto the quotient lattice.
+    One Hermite form of [G^T | I], G the d generators as rows: sub is
+    saturated exactly when the G part of its top d rows is I_d, and the
+    I parts of the other n - d rows are the Hermite basis of the lattice
+    of vectors orthogonal to sub. That lattice is saturated, so the map
+    is onto Z^(n-d); its kernel is the saturation of sub, sub itself.
     """
-    n = sub.ambient_rank
-    d = sub.rank
-    if d == 0:
-        return identity_matrix(n)
-    u, diag = snf_transform(sub.basis_columns())
-    for i in range(d):
-        if abs(diag[i][i]) != 1:
-            raise SubgroupError("subgroup is not saturated")
-    return tuple(u[i] for i in range(d, n))
+    n, d = sub.ambient_rank, sub.rank
+    h = row_hermite([col + row for col, row in zip(sub.basis_columns(), identity_matrix(n))])
+    if tuple(r[:d] for r in h[:d]) != identity_matrix(d):
+        raise SubgroupError("subgroup is not saturated")
+    return tuple(r[d:] for r in h[d:])

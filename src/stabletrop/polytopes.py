@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from stabletrop.cycles import TropicalCycle, cycle, zero_cycle
@@ -46,9 +47,13 @@ class RationalPolytope:
     ambient_dim: int
     vertices: tuple
 
-    @property
+    @cached_property
     def polyhedron(self) -> Polyhedron:
-        return Polyhedron.from_vrep(self.ambient_dim, list(self.vertices))
+        """The polytope as a Polyhedron, built once, its V-rep the stored
+        canonical vertices."""
+        poly = Polyhedron.from_vrep(self.ambient_dim, list(self.vertices))
+        poly._vrep = (self.vertices, (), ())
+        return poly
 
     @property
     def dim(self) -> int:

@@ -26,10 +26,13 @@ and `link_cycle` the local picture of a cycle at a point.
 is the phase-1 simplex run on a Fraction tableau, the reference for the
 library's integer tableau. `smith_transform` is the Smith form with all
 four transforms U, U^-1, D and V; `snf_diagonal`, `solve_integer`,
-`smith_integer_kernel`, `smith_saturation` and `smith_lattice_index`
-read invariant factors, integer solutions, kernels, saturations and
-indices off it, the references for the library's Hermite forms and for
-the U and D of its `snf_transform`. `contains_vector` and
+`smith_integer_kernel`, `smith_saturation`, `smith_lattice_index` and
+`smith_quotient_matrix` read invariant factors, integer solutions,
+kernels, saturations, indices and the quotient map off it, the
+references for the library's Hermite forms. `rref` is the reduced row
+echelon form by `Fraction` elimination and `nullspace_rational` the null
+space read off it, the references for the library's reduced echelon
+form by back-substitution on its Bareiss echelon. `contains_vector` and
 `is_subgroup_of` decide lattice membership by an integer solve, and
 `rank_rows` is a rank of integer or Fraction rows. `canonical_vrep` and
 `canonical_hrep` are the former canonicalizing post-passes of `vrep` and
@@ -63,10 +66,8 @@ from stabletrop.lattices import (
     int_rank,
     mat_from_rows,
     mat_vec,
-    nullspace_rational,
     quotient_matrix,
     rational_to_primitive,
-    rref,
     saturation,
     transpose,
     vec_dot,
@@ -510,6 +511,65 @@ def smith_transform(matrix):
             row_negate(t)
         t += 1
     return (mat_from_rows(U), mat_from_rows(Uinv), mat_from_rows(D), mat_from_rows(V))
+
+
+def smith_quotient_matrix(sub):
+    """The quotient map by a saturated subgroup read off the Smith row
+    transform of its generator columns: the rows d..n of U annihilate
+    them, and U is unimodular, so the map is onto Z^(n-d)."""
+    n, d = sub.ambient_rank, sub.rank
+    if d == 0:
+        return identity_matrix(n)
+    u, _, diag, _ = smith_transform(sub.basis_columns())
+    if any(abs(diag[i][i]) != 1 for i in range(d)):
+        raise SubgroupError("subgroup is not saturated")
+    return tuple(u[i] for i in range(d, n))
+
+
+def rref(rows):
+    """Reduced row echelon form over Q. Returns (rows, pivot_columns)."""
+    m = [[Fraction(a) for a in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [a / pv for a in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def nullspace_rational(rows, ncols=None):
+    """Basis of the rational null space of a matrix, deterministic order."""
+    nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
+    if not rows:
+        return [tuple(Fraction(1 if i == j else 0) for i in range(nc)) for j in range(nc)]
+    red, pivots = rref(rows)
+    free = [j for j in range(nc) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def snf_diagonal(matrix):

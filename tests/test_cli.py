@@ -6,6 +6,8 @@ from stabletrop import documents
 from stabletrop.cli import main
 from stabletrop.cycles import cycle, cycles_equal
 from stabletrop.polyhedra import Polyhedron
+from stabletrop.polytopes import cube, standard_simplex, tropical_hypersurface
+from stabletrop.stable import stable_intersection
 
 
 def write(tmp_path, name, obj):
@@ -360,3 +362,32 @@ def test_decompose_command(tmp_path, capsys):
     assert report["basis_size"] == 2 and report["degree"] == 1
     assert sorted(t["powers"] for t in report["terms"]) == [[0, 1], [1, 0]]
     assert {t["coefficient"] for t in report["terms"]} == {"1"}
+
+
+def test_decompose_in_q3_over_a_refined_fan(tmp_path, capsys):
+    # the fan is the common refinement of the hypersurfaces of the simplex
+    # and the cube, the hypersurface of their Minkowski sum, and z is their
+    # stable product; the report is pinned byte for byte, so the quotient
+    # coordinates chosen at its ridges do not reach the basis weights
+    s3, c3 = standard_simplex(3), cube(3)
+    fan = write(tmp_path, "fan.json", documents.cycle_to_document(tropical_hypersurface(s3.minkowski(c3))))
+    z = stable_intersection(tropical_hypersurface(s3), tropical_hypersurface(c3))
+    code, out, err = run(capsys, ["decompose", write(tmp_path, "z.json", documents.cycle_to_document(z)), fan])
+    weights = [
+        "000220220222202222222",
+        "000000000001101010100",
+        "222002112100020001232",
+        "000110000010000100001",
+    ]
+    terms = [("-1/8", [2, 0, 0, 0]), ("1/4", [1, 1, 0, 0]), ("1/4", [1, 0, 1, 0]), ("1/4", [1, 0, 0, 1])]
+    expected = {
+        "basis_size": 4,
+        "basis_weights": [list(w) for w in weights],
+        "degree": 2,
+        "terms": [{"coefficient": c, "powers": p} for c, p in terms],
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    code, out, err = run(capsys, ["check-balanced", fan])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ambient_dim": 3, "balanced": True, "cells": 21, "dim": 2, "unbalanced_ridges": 0}

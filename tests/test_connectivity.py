@@ -213,3 +213,38 @@ def test_local_checks_match_the_global_arrangement(x):
     want = arrangement_components(x)
     assert len(comps) == len(want)
     assert all(any(cycles_equal(c, w) for w in want) for c in comps)
+
+
+@st.composite
+def split_hypersurface_fans(draw):
+    """A hypersurface fan in Q^2 or Q^3, or its sum with a second one,
+    maybe translated (two parallel hyperplanes are two components), maybe
+    with one weight raised so that it is not balanced; beside it the same
+    cycle with every cell split by the same random hyperplanes."""
+    n = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.integers(0, 2)] * n)
+    x = zero_cycle(n)
+    for k in range(draw(st.integers(1, 2))):
+        pts = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+        shift = draw(point) if k else (0,) * n
+        h = tropical_hypersurface(polytope(n, pts))
+        x = cycle_sum(x, cycle(n, [(c.translate(shift), m) for c, m in h.weighted_cells()]))
+    pairs = list(x.weighted_cells())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], pairs[i][1] + 1)
+    normal = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
+    planes = draw(st.lists(st.tuples(normal, st.integers(-1, 1)), min_size=1, max_size=2))
+    pieces = pairs
+    for a, b in planes:
+        pieces = [(p, m) for c, m in pieces for p in split(c, a, b)]
+    return cycle(n, pairs), cycle(n, pieces)
+
+
+@given(split_hypersurface_fans())
+def test_balancing_and_components_do_not_depend_on_the_presentation(xs):
+    # splitting cells adds inner ridges whose two normals cancel and
+    # facets shared by the two pieces, so neither answer may change
+    x, refined = xs
+    assert is_balanced(refined)[0] == is_balanced(x)[0]
+    assert len(connected_components(refined)) == len(connected_components(x))

@@ -1,13 +1,15 @@
-"""Lattice layer: Hermite forms, indexes, kernels, saturation, and the
-Smith form behind the quotient map.
+"""Lattice layer: Hermite forms, indexes, kernels, saturation, the
+quotient map, and the fraction-free echelon with its reduced form over Q.
 
 Expected values in the direct tests were frozen from hand computations
 before the implementation existed (2x2 determinants, gcd arguments, and
 explicit coset counting on small boxes). The library reads indices,
-kernels and saturations off Hermite forms; the Smith forms with all four
-transforms in `oracles` (`smith_transform`, `snf_diagonal`,
-`solve_integer` and the routes built on them) are the reference they are
-checked against, and the reference of `snf_transform`'s U and D.
+kernels, saturations and the quotient map off Hermite forms; the Smith
+forms with all four transforms in `oracles` (`smith_transform`,
+`snf_diagonal`, `solve_integer`, `smith_quotient_matrix` and the routes
+built on them) are the reference they are checked against. The Fraction
+`rref` and `nullspace_rational` in `oracles` are the reference of the
+reduced echelon form built on the Bareiss echelon.
 """
 
 from fractions import Fraction
@@ -21,15 +23,19 @@ from oracles import (
     contains_vector,
     is_subgroup_of,
     mat_mul,
+    nullspace_rational,
     rank_rows,
+    rref,
     smith_integer_kernel,
     smith_lattice_index,
+    smith_quotient_matrix,
     smith_saturation,
     smith_transform,
     snf_diagonal,
     solve_integer,
     solve_rational,
 )
+from stabletrop.algebra import _null_space
 from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
@@ -40,14 +46,12 @@ from stabletrop.lattices import (
     intersect_lattices,
     lattice_index,
     mat_vec,
-    nullspace_rational,
     primitive,
     quotient_matrix,
     rational_to_primitive,
+    reduced_echelon,
     row_hermite,
-    rref,
     saturation,
-    snf_transform,
     standard_lattice,
     sum_lattices,
     transpose,
@@ -203,16 +207,6 @@ def test_snf_rectangular(m):
     assert mat_mul(u, uinv) == identity_matrix(2)
 
 
-@given(any_matrix())
-@example(((2, 0), (0, 3)))
-@example(((4, 6, 0), (6, 9, 2), (0, 3, 5)))
-def test_snf_transform_matches_reference(m):
-    # the row transform and the diagonal are the reference's, pivot for
-    # pivot; the examples take the step that mends a non-dividing entry
-    u, _, d, _ = smith_transform(m)
-    assert snf_transform(m) == (u, d)
-
-
 # ------------------------------------------------------------ linear solves
 
 
@@ -235,6 +229,35 @@ def test_solve_rational_and_rref():
     assert solve_rational([(1, 1), (1, 1)], (0, 1)) is None
     red, piv = rref([(2, 4), (1, 2)])
     assert red == ((Fraction(1), Fraction(2)),) and piv == (0,)
+
+
+fraction_entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices over Q, the empty one included, with Fraction entries,
+    zero rows and rows that are rational combinations of other rows."""
+    nc = draw(st.integers(min_value=0, max_value=5))
+    row = st.lists(st.one_of(small_int, fraction_entry), min_size=nc, max_size=nc).map(tuple)
+    rows = draw(st.lists(row, max_size=4))
+    for cs in draw(st.lists(st.lists(fraction_entry, min_size=len(rows), max_size=len(rows)), max_size=2)):
+        rows.append(tuple(sum(c * r[j] for c, r in zip(cs, rows)) for j in range(nc)))
+    rows += [(0,) * nc] * draw(st.integers(min_value=0, max_value=2))
+    return nc, list(draw(st.permutations(rows)))
+
+
+@given(rational_matrices())
+@example((0, []))
+@example((3, []))
+@example((2, [(0, 0), (Fraction(1, 2), 1), (1, 2)]))
+def test_reduced_echelon_matches_fraction_rref(m):
+    # the reduced echelon form is unique, so back-substitution on the
+    # Bareiss echelon gives the Fraction rref entry for entry, and the null
+    # space read off it is the reference's vector for vector
+    nc, rows = m
+    assert reduced_echelon(rows) == rref(rows)
+    assert _null_space(rows, nc) == nullspace_rational(rows, ncols=nc)
 
 
 def test_nullspace_rational():
@@ -482,6 +505,32 @@ def test_quotient_matrix_kernel(rows):
     # kernel of q is no bigger than sat
     for col in integer_kernel(q):
         assert contains_vector(sat, col)
+
+
+@st.composite
+def saturated_lattices(draw):
+    """Saturated subgroups of Z^1-Z^5 of every rank, from the zero
+    subgroup to Z^n."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vec = st.lists(small_int, min_size=n, max_size=n).map(tuple)
+    return saturation(n, draw(st.lists(vec, max_size=n)))
+
+
+@given(saturated_lattices(), st.integers(min_value=2, max_value=3))
+def test_quotient_matrix_is_the_annihilator_hermite_basis(sat, k):
+    # the map's kernel is sat, it is onto Z^(n-d), and it spans the row
+    # lattice of the Smith map; a multiple of a generator breaks saturation
+    n, d = sat.ambient_rank, sat.rank
+    q = quotient_matrix(sat)
+    assert len(q) == n - d
+    kernel = integer_kernel(q) if q else identity_matrix(n)
+    assert LatticeSubgroup.from_vectors(n, kernel) == sat
+    assert row_hermite(transpose(q)) == identity_matrix(n - d)
+    assert row_hermite(q) == row_hermite(smith_quotient_matrix(sat))
+    if d:
+        scaled = (tuple(k * a for a in sat.generators[0]),) + sat.generators[1:]
+        with pytest.raises(SubgroupError):
+            quotient_matrix(LatticeSubgroup.from_vectors(n, scaled))
 
 
 def test_vec_dot_sanity():

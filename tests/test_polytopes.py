@@ -139,10 +139,11 @@ def polytopes_nd(draw, n, max_pts=6):
 
 
 def test_hypersurface_cones_need_no_conversion(monkeypatch):
-    # the cones are read off the body's canonical H-rep: the _dd calls are
-    # the body's V-rep and H-rep, not one per cone (8 when each cone was
-    # built from H-rows and converted), and the cells' keys and V-reps
-    # are already canonical
+    # the cones are read off the body's canonical H-rep: the one _dd call
+    # is the body's H-rep, not one per cone (8 when each cone was built
+    # from H-rows and converted), its V-rep is the polytope's stored
+    # vertices (2 calls when it was converted again), and the cells' keys
+    # and V-reps are already canonical
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
     calls = []
     dd = polyhedra._dd
@@ -150,10 +151,27 @@ def test_hypersurface_cones_need_no_conversion(monkeypatch):
     monkeypatch.setattr(Polyhedron, "from_hrep", lambda *a, **k: pytest.fail("from_hrep"))
     monkeypatch.setattr(Polyhedron, "all_faces", lambda self: pytest.fail("all_faces"))
     t = tropical_hypersurface(p)
-    assert len(t.cells) == 6 and len(calls) == 2
+    assert len(t.cells) == 6 and len(calls) == 1
     for c in t.cells:
         c.key(), c.vrep()
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_polytope_queries_convert_once(monkeypatch):
+    # a polytope builds its polyhedron once, with the stored vertices as
+    # its V-rep: repeated dim and contains calls make at most one _dd call,
+    # the H-rep that contains reads (each dim call converted twice and each
+    # contains call once, afresh, when the polyhedron was rebuilt per access)
+    calls = []
+    dd = polyhedra._dd
+    monkeypatch.setattr(polyhedra, "_dd", lambda *a: calls.append(a) or dd(*a))
+    for p in (standard_simplex(2), cube(3), polytope(3, [(0, 0, 0), (2, 2, 2)])):
+        calls.clear()
+        for _ in range(3):
+            assert p.dim == (1 if len(p.vertices) == 2 else p.ambient_dim)
+            assert p.contains(p.vertices[0])
+            assert not p.contains((Fraction(-1),) * p.ambient_dim)
+        assert len(calls) <= 1
 
 
 fraction_coord = st.fractions(min_value=-3, max_value=3, max_denominator=3)

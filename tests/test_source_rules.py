@@ -1,0 +1,60 @@
+"""Source rules of the library, read off its syntax trees: the runtime is
+pure standard library, and no float enters the computational path."""
+
+import ast
+import sys
+from pathlib import Path
+
+import stabletrop
+
+SOURCES = sorted(Path(stabletrop.__file__).parent.glob("*.py"))
+
+
+def imported_modules(tree):
+    """The top-level package of every import; a relative import is one of
+    `stabletrop`'s own modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module.split(".")[0] if node.level == 0 else "stabletrop"
+
+
+def float_uses(tree):
+    """Line numbers of float literals and of the name `float`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno
+
+
+def source_violations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = [
+        f"{path.name}: imports {m}"
+        for m in imported_modules(tree)
+        if m != "stabletrop" and m not in sys.stdlib_module_names
+    ]
+    out += [f"{path.name}:{line}: float" for line in sorted(float_uses(tree))]
+    return out
+
+
+def test_library_imports_only_the_standard_library_and_uses_no_float():
+    assert len(SOURCES) > 10
+    assert [v for path in SOURCES for v in source_violations(path)] == []
+
+
+def test_source_rules_catch_a_violation(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\nfrom . import cycles\nfrom os import path\n"
+        "x = 0.5\ny = float(1)\nz = 2j\n",
+        encoding="utf-8",
+    )
+    assert source_violations(bad) == [
+        "bad.py: imports numpy",
+        "bad.py:4: float",
+        "bad.py:5: float",
+        "bad.py:6: float",
+    ]

@@ -26,7 +26,7 @@ from stabletrop.cycles import (
     scalar,
     zero_cycle,
 )
-from stabletrop import lattices, polyhedra, stable
+from stabletrop import algebra, cycles, lattices, polyhedra, stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import normalized_volume, polytope, tropical_hypersurface
@@ -452,35 +452,46 @@ def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch
     assert len(calls) == 16
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls of a lattice function under every module's binding
+    of its name."""
+    calls = []
+    f = getattr(lattices, name)
+    for module in (lattices, algebra, cycles):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1) or f(*a, **k))
+    return calls
+
+
 def test_engine_decides_pairs_without_a_fraction_null_space(monkeypatch):
     # with the cells' representations computed beforehand, the run makes no
-    # Fraction rref: the rows constant on aff σ ∩ aff τ are found in
-    # integers, with no null space, and each result cell's H-rep is reduced
-    # modulo its equalities by integer steps inside `_dd`
+    # reduced echelon over Q: the rows constant on aff σ ∩ aff τ are found
+    # in integers, with no null space, and each result cell's H-rep is
+    # reduced modulo its equalities by integer steps inside `_dd`; the
+    # Fraction rref and null space are gone from the library
     x, y = hypersurface_pair()
     for c in x.cells + y.cells:
         c.hrep(), c.vrep()
-    calls = []
-    monkeypatch.setattr(lattices, "rref", lambda rows, f=lattices.rref: calls.append(1) or f(rows))
-    monkeypatch.setattr(lattices, "nullspace_rational", lambda *a, **k: pytest.fail("null space"))
+    calls = count_calls(monkeypatch, "reduced_echelon")
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 14
     assert len(calls) == 0
-    assert not hasattr(polyhedra, "nullspace_rational")
-    assert not hasattr(polyhedra, "rref")
+    for module in (lattices, polyhedra, algebra):
+        assert not hasattr(module, "nullspace_rational")
+        assert not hasattr(module, "rref")
 
 
 def test_engine_takes_no_smith_form(monkeypatch):
-    # lattice indices, kernels and saturations are read off Hermite forms;
-    # only `quotient_matrix` takes a Smith form, and neither the engine
-    # nor a volume builds one
+    # lattice indices, kernels, saturations and the quotient map are read
+    # off Hermite forms, and the library has no Smith form; neither the
+    # engine nor a volume takes a quotient map or a reduced echelon
     x, y = hypersurface_pair()
-    calls = []
-    snf = lattices.snf_transform
-    monkeypatch.setattr(lattices, "snf_transform", lambda m: calls.append(1) or snf(m))
+    quotients = count_calls(monkeypatch, "quotient_matrix")
+    echelons = count_calls(monkeypatch, "reduced_echelon")
     assert len(stable_intersection_report(x, y).result.cells) == 14
     assert normalized_volume(polytope(3, [(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 2)])) == 4
-    assert len(calls) == 0
+    assert len(quotients) == 0 and len(echelons) == 0
+    assert not hasattr(lattices, "snf_transform")
 
 
 # ------------------------------------------------------------- cross routes
