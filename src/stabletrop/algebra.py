@@ -204,8 +204,8 @@ def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
     for ridge, adjacent in _ridge_index(wall_list).values():
         qmat = quotient_matrix(ridge.direction_lattice())
         eq = [[Fraction(0)] * len(wall_list) for _ in range(2)]
-        for idx in adjacent:
-            u = _normal_in_quotient(qmat, wall_list[idx], ridge)
+        for idx, row in adjacent:
+            u = _normal_in_quotient(qmat, wall_list[idx], row)
             eq[0][idx] = Fraction(u[0])
             eq[1][idx] = Fraction(u[1])
         rows.extend(tuple(r) for r in eq)

@@ -9,8 +9,9 @@ own (`normalize_weighted`), `is_balanced` overlays the facets of one
 hull, weighted by their normal vectors, and only `pushforward` overlays
 cells of several hulls at once, its image cells. The ridge index
 `_ridge_index` maps each ridge of a cell list to the cells having it as a
-facet, for `algebra.build_hypersurface_basis`. Cycles are identified up
-to refinement: `cycles_equal` tests semantic equality, the dataclass
+facet, with the facet rows that sign their normals, for
+`algebra.build_hypersurface_basis`. Cycles are identified up to
+refinement: `cycles_equal` tests semantic equality, the dataclass
 equality is representation equality of the canonicalized cell lists.
 """
 
@@ -27,10 +28,10 @@ from stabletrop.lattices import (
     intersect_lattices,
     lattice_index,
     mat_vec,
+    primitive,
     quotient_matrix,
-    rational_to_primitive,
+    vec_dot,
     vec_is_zero,
-    vec_sub,
 )
 from stabletrop.polyhedra import Polyhedron, refine_cells
 
@@ -185,47 +186,40 @@ def cycles_equal(x: TropicalCycle, y: TropicalCycle):
 
 
 def _ridge_index(cells):
-    """Ridge key -> (ridge, indices of the cells having it as a facet)."""
+    """Ridge key -> (ridge, (cell index, facet row) of each cell having
+    it as a facet)."""
     ridges = {}
     for idx, c in enumerate(cells):
-        for f in c.facets():
-            ridges.setdefault(f.key(), (f, []))[1].append(idx)
+        for row, f in zip(c.hrep()[0], c.facets()):
+            ridges.setdefault(f.key(), (f, []))[1].append((idx, row))
     return ridges
 
 
-def _normal_in_quotient(qmat, sigma: Polyhedron, ridge: Polyhedron):
-    """Primitive image of the facet direction lattice in the quotient by
-    the ridge directions, signed to point from the ridge into sigma."""
-    img = None
-    for g in sigma.direction_lattice().generators:
-        w = mat_vec(qmat, g)
-        if not vec_is_zero(w):
-            img = rational_to_primitive(w)
-            break
-    if img is None:
-        raise ValidationError("facet does not extend the ridge")
-    d = vec_sub(sigma.interior_point(), ridge.interior_point())
-    qd = mat_vec(qmat, d)
-    j = next(i for i, a in enumerate(img) if a != 0)
-    if qd[j] * img[j] < 0:
-        img = tuple(-a for a in img)
-    return img
+def _normal_in_quotient(qmat, sigma: Polyhedron, row):
+    """Primitive image of sigma's direction lattice in the quotient by
+    the directions of its facet on the row (a, b), signed to point into
+    sigma. The facet's directions are dir sigma ∩ a^⊥, so a generator g
+    of sigma's lattice that qmat does not kill has a.g != 0, and a.g < 0
+    points into sigma, where a.x <= b."""
+    g = next(g for g in sigma.direction_lattice().generators if not vec_is_zero(mat_vec(qmat, g)))
+    img = primitive(mat_vec(qmat, g))
+    return img if vec_dot(row[: sigma.ambient_dim], g) < 0 else tuple(-a for a in img)
 
 
 def is_balanced(x: TropicalCycle):
     """Exact balancing test, one affine hull of ridges at a time.
 
     Each facet of a cell carries the cell's weight times its primitive
-    normal in the quotient lattice by the facet directions, and the
-    facets of one hull are overlaid. Refining a cell adds inner ridges
+    normal in the quotient lattice by the facet directions, signed by its
+    facet row, and the facets of one hull are overlaid. Refining a cell adds inner ridges
     whose two normals cancel, so no cell needs refining. Returns (flag,
     failures): the (ridge, defect) pieces whose sum does not vanish.
     """
     hulls = {}
     for c, m in x.weighted_cells():
-        for f in c.facets():
+        for row, f in zip(c.hrep()[0], c.facets()):
             qmat = quotient_matrix(f.direction_lattice())
-            normal = _normal_in_quotient(qmat, c, f)
+            normal = _normal_in_quotient(qmat, c, row)
             hulls.setdefault(f.hrep()[1], []).append((f, tuple(m * a for a in normal)))
     failures = []
     for facets in hulls.values():

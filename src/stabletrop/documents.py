@@ -179,14 +179,13 @@ def cycle_to_document(x: TropicalCycle) -> dict:
     cone_rays = []
     for c in x.cells:
         _, cell_rays, cell_lin = c.vrep()
-        gens = {rational_to_primitive(r) for r in cell_rays}
+        gens = set(cell_rays)
         rows = list(base)
         for v in cell_lin:
             if int_rank(rows + [v]) > len(rows):
-                u = rational_to_primitive(v)
-                rows.append(u)
-                gens.add(u)
-                gens.add(tuple(-a for a in u))
+                rows.append(v)
+                gens.add(v)
+                gens.add(tuple(-a for a in v))
         cone_rays.append(sorted(gens))
     all_rays = sorted({r for gens in cone_rays for r in gens})
     position = {r: i for i, r in enumerate(all_rays)}

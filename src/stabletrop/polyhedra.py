@@ -36,15 +36,20 @@ kept as a row for that reason. The empty polyhedron has the V-rep
 `translate`, `minkowski`, `image`, `times` and `point_in_sum` need no
 emptiness branch: the rows or generators they read already say it.
 
-Faces need no conversion. A face of P is cut out by some of P's facet
-rows, and its generators are those of P on which the rows are tight
-(`_face`); the sub-tuple of P's canonical V-rep is the face's canonical
-V-rep, since a face keeps P's lineality. `facets` and `minimal_face_at`
-are built this way, and `all_faces` reads every face off the
-incidences: each facet row's tight set of generator indices, computed
-once in integers, and their intersections, one face per distinct set
-that holds a point. `dim` is read off the V side, so a face's H-rep is
-computed only when asked for.
+Faces are index sets. Each polyhedron caches one incidence
+(`_incidence`): for each canonical facet row, the set of indices of the
+canonical generators (points, then rays) tight on it, computed once in
+integers. A face is the set of generators it holds, and `_face` returns
+the sub-tuple of P's canonical V-rep, which is the face's canonical
+V-rep since a face keeps P's lineality, with no conversion. `facets`
+takes one row's set each, `minimal_face_at` intersects the sets of the
+rows tight at a point, `all_faces` closes the full set under the row
+sets, and `is_face_of` looks a polyhedron up among those faces. `dim` is
+read off the V side, so a face's H-rep is computed only when asked for.
+
+Rows, rays and lineality vectors are made primitive integer tuples at
+the door (`from_hrep`, `from_vrep`), and `hrep` homogenizes each point
+once, so `_dd` and `intersect` convert nothing.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ from stabletrop.linprog import feasible_point
 
 def _dd(dim, eq_normals, ineq_normals):
     """Generators of the cone {y : e.y == 0 for e in eq_normals,
-    a.y >= 0 for a in ineq_normals}.
+    a.y >= 0 for a in ineq_normals}, the normals given as integer
+    tuples, so that every step stays in integers (`primitive`).
 
     Returns (lin, rays) in canonical form: lin is the Hermite basis of
     the saturated lattice of the lineality space, and rays are the
@@ -81,8 +87,7 @@ def _dd(dim, eq_normals, ineq_normals):
     rays = []
     done_eqs = []
     done_ineqs = []
-    for kind, raw in constraints:
-        a = rational_to_primitive(raw)
+    for kind, a in constraints:
         pivot = next((i for i, l in enumerate(lin) if vec_dot(a, l) != 0), None)
         if pivot is not None:
             l0 = lin[pivot]
@@ -95,12 +100,12 @@ def _dd(dim, eq_normals, ineq_normals):
                     continue
                 aw = vec_dot(a, w)
                 w2 = tuple(al0 * x - aw * y for x, y in zip(w, l0))
-                new_lin.append(rational_to_primitive(w2))
+                new_lin.append(primitive(w2))
             new_rays = []
             for r in rays:
                 ar = vec_dot(a, r)
                 r2 = tuple(al0 * x - ar * y for x, y in zip(r, l0))
-                new_rays.append(rational_to_primitive(r2))
+                new_rays.append(primitive(r2))
             lin = new_lin
             rays = new_rays
             if kind == "ineq":
@@ -128,12 +133,8 @@ def _dd(dim, eq_normals, ineq_normals):
                     aq = vec_dot(a, q)
                     w = tuple(ap * y - aq * x for x, y in zip(p, q))
                     if not vec_is_zero(w):
-                        combos[rational_to_primitive(w)] = True
-            kept = (plus if kind == "ineq" else []) + zero + list(combos)
-            seen = {}
-            for r in kept:
-                seen[r] = True
-            rays = list(seen)
+                        combos[primitive(w)] = True
+            rays = list(dict.fromkeys((plus if kind == "ineq" else []) + zero + list(combos)))
         if kind == "eq":
             done_eqs.append(a)
         else:
@@ -146,7 +147,7 @@ def _dd(dim, eq_normals, ineq_normals):
 class Polyhedron:
     """A rational polyhedron in Q^n, immutable once constructed."""
 
-    __slots__ = ("ambient_dim", "_rows", "_gens", "_hrep", "_vrep", "_dim", "_dirlat", "_faces")
+    __slots__ = ("ambient_dim", "_rows", "_gens", "_hrep", "_vrep", "_dim", "_dirlat", "_inc", "_faces")
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
@@ -156,6 +157,7 @@ class Polyhedron:
         self._vrep = None
         self._dim = None
         self._dirlat = None
+        self._inc = None
         self._faces = None
 
     # ------------------------------------------------------------ builders
@@ -166,7 +168,6 @@ class Polyhedron:
         pairs with int or Fraction entries. A zero-normal row is dropped
         when it holds and kept when it does not, so that the conversion
         finds no point."""
-        self = Polyhedron(ambient_dim)
         rows_i = []
         rows_e = []
         for a, b in ineqs:
@@ -181,16 +182,25 @@ class Polyhedron:
                 raise DimensionError("equality has wrong length")
             if d != 0 or not vec_is_zero(c):
                 rows_e.append(rational_to_primitive(c + (d,)))
-        self._rows = (tuple(rows_i), tuple(rows_e))
+        return Polyhedron._from_rows(ambient_dim, rows_i, rows_e)
+
+    @staticmethod
+    def _from_rows(ambient_dim, ineq_rows, eq_rows):
+        """Polyhedron on rows that are already primitive integer tuples
+        (a..., b), as `from_hrep` and `hrep` leave them."""
+        self = Polyhedron(ambient_dim)
+        self._rows = (tuple(ineq_rows), tuple(eq_rows))
         return self
 
     @staticmethod
     def from_vrep(ambient_dim, points, rays=(), lin=()):
+        """conv(points) + cone(rays) + span(lin); the rays and lineality
+        vectors are kept as primitive integer tuples."""
         self = Polyhedron(ambient_dim)
         self._gens = (
             tuple(tuple(Fraction(a) for a in p) for p in points),
-            tuple(tuple(Fraction(a) for a in r) for r in rays if not vec_is_zero(r)),
-            tuple(tuple(Fraction(a) for a in l) for l in lin if not vec_is_zero(l)),
+            tuple(rational_to_primitive(tuple(map(Fraction, r))) for r in rays if not vec_is_zero(r)),
+            tuple(rational_to_primitive(tuple(map(Fraction, l))) for l in lin if not vec_is_zero(l)),
         )
         for v in self._gens[0] + self._gens[1] + self._gens[2]:
             if len(v) != ambient_dim:
@@ -261,8 +271,8 @@ class Polyhedron:
                 self._hrep = ((tuple(0 for _ in range(n)) + (-1,),), ())
             else:
                 # dual wedge in (a, b): a.p <= b, a.r <= 0, a.l == 0
-                eqn = [tuple(l) + (0,) for l in lin]
-                inn = [tuple(-x for x in p) + (1,) for p in points]
+                eqn = [l + (0,) for l in lin]
+                inn = [rational_to_primitive(tuple(-x for x in p) + (1,)) for p in points]
                 inn += [tuple(-x for x in r) + (0,) for r in rays]
                 eq_rows, drays = _dd(n + 1, eqn, inn)
                 # drop the trivial row 0 <= 1
@@ -319,27 +329,6 @@ class Polyhedron:
             vec_dot(r[:n], x) == r[n] for r in eqs
         )
 
-    def contains_poly(self, other):
-        """Whether other is a subset of self."""
-        n = self.ambient_dim
-        ineqs, eqs = self.hrep()
-        pts, rays, lin = other.vrep()
-        for r in ineqs:
-            a, b = r[:n], r[n]
-            if any(vec_dot(a, p) > b for p in pts):
-                return False
-            if any(vec_dot(a, v) > 0 for v in rays):
-                return False
-            if any(vec_dot(a, v) != 0 for v in lin):
-                return False
-        for r in eqs:
-            c, d = r[:n], r[n]
-            if any(vec_dot(c, p) != d for p in pts):
-                return False
-            if any(vec_dot(c, v) != 0 for v in rays + lin):
-                return False
-        return True
-
     def interior_point(self):
         """A rational point in the relative interior."""
         if self.is_empty:
@@ -380,10 +369,8 @@ class Polyhedron:
     def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        n = self.ambient_dim
-        si, se = self._constraints()
-        oi, oe = other._constraints()
-        return Polyhedron.from_hrep(n, [(r[:n], r[n]) for r in si + oi], [(r[:n], r[n]) for r in se + oe])
+        (si, se), (oi, oe) = self._constraints(), other._constraints()
+        return Polyhedron._from_rows(self.ambient_dim, si + oi, se + oe)
 
     def translate(self, t):
         t = tuple(Fraction(a) for a in t)
@@ -426,69 +413,76 @@ class Polyhedron:
         _, rays, lin = self.vrep()
         return Polyhedron.cone_from_rays(self.ambient_dim, rays, lin)
 
-    def _face(self, rows):
-        """The face on which every given inequality row (a..., b) of P is
-        tight: P's canonical points with a.p == b and rays with a.r == 0
-        for every row, and P's lineality. A face has P's lineality, so the
-        same reduction and order hold and the sub-tuple is canonical as it
-        stands; the face's H-rep stays lazy."""
-        n = self.ambient_dim
+    def _incidence(self):
+        """For each canonical facet row, in row order, the frozenset of
+        indices of P's canonical generators (points, then rays) tight on
+        it; computed once, in integers, on the homogenized points."""
+        if self._inc is None:
+            points, rays, _ = self.vrep()
+            gens = [rational_to_primitive(p + (-1,)) for p in points] + [r + (0,) for r in rays]
+            self._inc = tuple(
+                frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0) for r in self.hrep()[0]
+            )
+        return self._inc
+
+    def _face(self, s):
+        """The face whose generators are P's canonical points and rays with
+        indices in s (points first), with P's lineality. A face has P's
+        lineality, so the same reduction and order hold and the sub-tuple
+        is canonical as it stands; the face's H-rep stays lazy. Empty when
+        s holds no point."""
         points, rays, lin = self.vrep()
-        points = tuple(p for p in points if all(vec_dot(r[:n], p) == r[n] for r in rows))
-        if not points:
-            return Polyhedron.empty(n)
-        face = Polyhedron(n)
-        face._vrep = (points, tuple(v for v in rays if all(vec_dot(r[:n], v) == 0 for r in rows)), lin)
+        k = len(points)
+        pts = tuple(points[i] for i in sorted(s) if i < k)
+        if not pts:
+            return Polyhedron.empty(self.ambient_dim)
+        face = Polyhedron(self.ambient_dim)
+        face._vrep = (pts, tuple(rays[i - k] for i in sorted(s) if i >= k), lin)
         return face
 
     def minimal_face_at(self, w):
-        """Smallest face containing the point w of P."""
+        """Smallest face containing the point w of P: the generators tight
+        on every facet row tight at w."""
         if not self.contains(w):
             raise ValidationError("point is not in the polyhedron")
         w = tuple(Fraction(a) for a in w)
         n = self.ambient_dim
-        return self._face([r for r in self.hrep()[0] if vec_dot(r[:n], w) == r[n]])
+        points, rays, _ = self.vrep()
+        s = frozenset(range(len(points) + len(rays)))
+        for r, t in zip(self.hrep()[0], self._incidence()):
+            if vec_dot(r[:n], w) == r[n]:
+                s &= t
+        return self._face(s)
 
     def facets(self):
-        """Codimension-one faces."""
-        return [self._face([r]) for r in self.hrep()[0]]
+        """Codimension-one faces, one per canonical facet row, in row order."""
+        return [self._face(t) for t in self._incidence()]
 
     def all_faces(self):
         """Every nonempty face, including the polyhedron itself, in
-        (dim, key) order, read off incidences (Kaibel–Pfetsch): a face is
-        the set of P's canonical generators it holds, and the sets are the
-        full set closed under intersection with each facet row's tight
-        set, computed once in integers. A set that holds no point is the
-        empty face; each other set gives one face, its V-rep the sub-tuple
-        of P's (as in `_face`)."""
+        (dim, key) order, read off the incidence (Kaibel–Pfetsch): the
+        face sets are the full set closed under intersection with each
+        facet row's tight set. A set that holds no point is the empty
+        face; each other set gives one face (`_face`)."""
         if self._faces is None:
-            points, rays, lin = self.vrep()
+            points, rays, _ = self.vrep()
             k = len(points)
-            gens = [rational_to_primitive(p + (-1,)) for p in points] + [r + (0,) for r in rays]
-            tight = [frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0) for r in self.hrep()[0]]
-            full = frozenset(range(len(gens)))
+            full = frozenset(range(k + len(rays)))
             sets = {full: self} if k else {}
             stack = list(sets)
             while stack:
                 s = stack.pop()
-                for t in tight:
+                for t in self._incidence():
                     c = s & t
                     if c not in sets and min(c, default=k) < k:
-                        face = sets[c] = Polyhedron(self.ambient_dim)
-                        pts = tuple(points[i] for i in sorted(c) if i < k)
-                        face._vrep = (pts, tuple(rays[i - k] for i in sorted(c) if i >= k), lin)
+                        sets[c] = self._face(c)
                         stack.append(c)
             self._faces = tuple(sorted(sets.values(), key=lambda f: (f.dim, f.key())))
         return self._faces
 
     def is_face_of(self, other):
         """Whether self is a (nonempty) face of other."""
-        if self.is_empty or other.is_empty:
-            return False
-        if not other.contains_poly(self):
-            return False
-        w = self.interior_point()
-        return other.minimal_face_at(w) == self
+        return not self.is_empty and self in other.all_faces()
 
 
 def transverse_links(p, q):
@@ -574,8 +568,8 @@ def _cut(cell, planes):
             if not (any(vec_dot(a, l) for l in lin) or max(vals) > 0 > min(vals)):
                 nxt.append(p)
                 continue
-            for h in ((a, b), (tuple(-x for x in a), -b)):
-                half = p.intersect(Polyhedron.from_hrep(n, [h]))
+            for h in (row, tuple(-x for x in row)):
+                half = p.intersect(Polyhedron._from_rows(n, [h], ()))
                 half._dim = p.dim
                 nxt.append(half)
         pieces = nxt
@@ -612,11 +606,5 @@ def covered_by(region, cells):
 
 def is_polyhedral_complex(cells):
     """Whether every pairwise intersection is a face of both cells."""
-    for i, p in enumerate(cells):
-        for q in cells[i + 1 :]:
-            c = p.intersect(q)
-            if c.is_empty:
-                continue
-            if not (c.is_face_of(p) and c.is_face_of(q)):
-                return False
-    return True
+    pairs = ((p, q, p.intersect(q)) for i, p in enumerate(cells) for q in cells[i + 1 :])
+    return all(c.is_empty or c.is_face_of(p) and c.is_face_of(q) for p, q, c in pairs)

@@ -32,7 +32,6 @@ from stabletrop.lattices import (
     row_hermite,
     saturation,
     transpose,
-    vec_dot,
     vec_sub,
 )
 from stabletrop.polyhedra import Polyhedron, covered_by
@@ -122,7 +121,8 @@ def cube(n: int) -> RationalPolytope:
 def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
     """Codimension-one normal cones of p, weighted by edge lattice lengths,
     read off p's canonical H-rep with no conversion per cone. With T(v)
-    the facet rows tight at a vertex v, [u, v] is an edge when no third
+    the facet rows tight at a vertex v, the transpose of the body's
+    incidence (`Polyhedron._incidence`), [u, v] is an edge when no third
     vertex w has T(u) ∩ T(v) ⊆ T(w) (Fukuda–Prodon); its cone has the
     extreme rays -a for (a, b) in T(u) ∩ T(v) and the span of the equality
     normals as lineality, written in the canonical form `_dd` returns."""
@@ -133,8 +133,8 @@ def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
         return zero_cycle(n)
     ineqs, eqs = poly.hrep()
     lin = saturation(n, [r[:n] for r in eqs]).generators
-    hom = [rational_to_primitive(v + (-1,)) for v in verts]
-    tight = [frozenset(i for i, r in enumerate(ineqs) if vec_dot(r, h) == 0) for h in hom]
+    inc = poly._incidence()
+    tight = [frozenset(i for i, t in enumerate(inc) if j in t) for j in range(len(verts))]
     origin = (Fraction(0),) * n
     cells = []
     for j, v in enumerate(verts):

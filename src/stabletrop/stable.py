@@ -22,8 +22,10 @@ A product with the one cell c · Q^n is read off as c times that overlay
 of the other factor, with no run (`stable_intersection`).
 
 The perturbation route cross-checks the engine: intersect X with Y
-shifted by eps * v, then let eps go to zero through recession cones
-(exact for fan cycles). The diagonal route is a test oracle.
+shifted by v itself, then read the limit eps -> 0 of the shift eps * v
+off the recession cones of the pieces (exact for fan cycles, where the
+pieces for eps * v are those for v scaled by eps). The diagonal route is
+a test oracle.
 
 The displacement rule holds for weights of either sign: the weight
 formula is bilinear in the weights of the two inputs, so cycles with
@@ -46,7 +48,7 @@ from stabletrop.cycles import (
     scalar,
     zero_cycle,
 )
-from stabletrop.errors import DimensionError, GenericityError, ValidationError
+from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
     int_rank,
     lattice_index,
@@ -206,7 +208,6 @@ class PerturbationResult:
     transverse: TropicalCycle
     limit: TropicalCycle
     vector: GenericVector
-    eps: Fraction
 
 
 def _require_fan(x: TropicalCycle, label):
@@ -215,34 +216,16 @@ def _require_fan(x: TropicalCycle, label):
             raise ValidationError(f"perturbation route requires fan cycles; {label} is not a fan")
 
 
-def _transverse_pieces(x, y, v, eps):
-    n = x.ambient_dim
-    k_res = x.dim + y.dim - n
-    shift = tuple(eps * a for a in v)
-    pieces = []
-    for i, j, lat in _spanning_pairs(x, y):
-        sx, sy = x.cells[i], y.cells[j]
-        w = sx.intersect(sy.translate(shift))
-        if w.is_empty:
-            continue
-        if w.dim != k_res:
-            raise GenericityError("perturbed intersection has wrong dimension")
-        inner = w.interior_point()
-        if not (sx.relint_contains(inner) and sy.translate(shift).relint_contains(inner)):
-            raise GenericityError("perturbed intersection is not transverse")
-        pieces.append((i, j, lat, w))
-    return pieces
-
-
-def perturbation_intersection(
-    x: TropicalCycle, y: TropicalCycle, eps=Fraction(1)
-) -> PerturbationResult:
+def perturbation_intersection(x: TropicalCycle, y: TropicalCycle) -> PerturbationResult:
     """Exact perturbation engine for fan cycles.
 
-    Intersects x with y translated by eps * v for a certified generic v.
-    For cones the intersection pattern is independent of eps > 0 (checked
-    by recomputing at eps / 2), and the limit cycle collects recession
-    cones of the transverse pieces. The limit must coincide with the
+    Intersects x with y translated by a certified generic v itself: for
+    cones, sigma ∩ (tau + eps v) = eps (sigma ∩ (tau + v)) for every
+    eps > 0, so neither the pieces' pattern nor their recession cones
+    depend on eps. The limit cycle collects the recession cones of the
+    transverse pieces. A spanning pair that meets has v inside sigma -
+    tau, whose boundary lies in spans of deficient face pairs that v
+    avoids, so its piece is transverse. The limit must coincide with the
     stable intersection; the transverse cycle is the displaced witness.
     Where an input is zero or the expected dimension is negative, both
     are the zero cycle, as in the engine.
@@ -250,9 +233,6 @@ def perturbation_intersection(
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
     _require_fan(x, "first input")
     _require_fan(y, "second input")
     for m in x.multiplicities + y.multiplicities:
@@ -261,22 +241,18 @@ def perturbation_intersection(
     gen = displacement_vector(x, y)
     if x.is_zero or y.is_zero or x.dim + y.dim < n:
         # no pair spans, as in the engine: the zero cycle
-        return PerturbationResult(zero_cycle(n), zero_cycle(n), gen, eps)
+        return PerturbationResult(zero_cycle(n), zero_cycle(n), gen)
     k_res = x.dim + y.dim - n
-    pieces = _transverse_pieces(x, y, gen.vector, eps)
-    half = _transverse_pieces(x, y, gen.vector, eps / 2)
-    sig = sorted((i, j, w.recession().key()) for i, j, _, w in pieces)
-    sig_half = sorted((i, j, w.recession().key()) for i, j, _, w in half)
-    if sig != sig_half:
-        raise GenericityError("intersection pattern changed under eps halving")
     amb = standard_lattice(n)
     weighted = []
     limit = []
-    for i, j, lat, w in pieces:
-        idx = lattice_index(amb, lat)
-        term = x.multiplicities[i] * y.multiplicities[j] * idx
+    for i, j, lat in _spanning_pairs(x, y):
+        w = x.cells[i].intersect(y.cells[j].translate(gen.vector))
+        if w.is_empty:
+            continue
+        term = x.multiplicities[i] * y.multiplicities[j] * lattice_index(amb, lat)
         weighted.append((w, term))
         rec = w.recession()
         if rec.dim == k_res:
             limit.append((rec, term))
-    return PerturbationResult(cycle(n, weighted), cycle(n, limit), gen, eps)
+    return PerturbationResult(cycle(n, weighted), cycle(n, limit), gen)

@@ -7,7 +7,9 @@ sharing no geometry code with them beyond exact arithmetic. The
 arrangement references for balancing and connectivity are the exception:
 they refine the whole cycle by every facet hyperplane of every cell and
 read both answers off the ridges of that complex, which the library's
-local checks never build. `lp_cut` keeps the cut by emptiness and
+local checks never build, with each facet normal signed by the interior
+points of the cell and the ridge (`interior_point_normal`), not by the
+facet row as the library signs it. `lp_cut` keeps the cut by emptiness and
 dimension tests on both closed halves, the reference for the library's
 cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
 `hrep_minimal_face_at` rebuild each face from the H-rep with its tight
@@ -51,7 +53,6 @@ from itertools import combinations, product
 from math import factorial
 
 from stabletrop.cycles import (
-    _normal_in_quotient,
     _overlay,
     _ridge_index,
     cartesian_product,
@@ -810,6 +811,26 @@ def arrangement_refinement(x):
     return cycle(x.ambient_dim, _overlay(x.weighted_cells()))
 
 
+def interior_point_normal(qmat, sigma, ridge):
+    """Primitive image of sigma's direction lattice in the quotient by the
+    ridge directions, signed by the interior points: it points along the
+    image of sigma's interior point minus the ridge's."""
+    img = None
+    for g in sigma.direction_lattice().generators:
+        w = mat_vec(qmat, g)
+        if not vec_is_zero(w):
+            img = rational_to_primitive(w)
+            break
+    if img is None:
+        raise ValidationError("facet does not extend the ridge")
+    d = vec_sub(sigma.interior_point(), ridge.interior_point())
+    qd = mat_vec(qmat, d)
+    j = next(i for i, a in enumerate(img) if a != 0)
+    if qd[j] * img[j] < 0:
+        img = tuple(-a for a in img)
+    return img
+
+
 def arrangement_is_balanced(x):
     """Balancing read off the ridges of the global arrangement: the
     weighted normals around each ridge of the refinement must cancel.
@@ -820,8 +841,8 @@ def arrangement_is_balanced(x):
     for ridge, members in _ridge_index(refined.cells).values():
         qmat = quotient_matrix(ridge.direction_lattice())
         total = (0,) * len(qmat)
-        for i in members:
-            g = _normal_in_quotient(qmat, refined.cells[i], ridge)
+        for i, _ in members:
+            g = interior_point_normal(qmat, refined.cells[i], ridge)
             total = tuple(s + refined.multiplicities[i] * a for s, a in zip(total, g))
         if not vec_is_zero(total):
             failures.append((ridge, total))
@@ -835,8 +856,8 @@ def arrangement_facet_graph(x):
     refined = arrangement_refinement(x)
     adj = [set() for _ in refined.cells]
     for _, members in _ridge_index(refined.cells).values():
-        for a in members:
-            for b in members:
+        for a, _ in members:
+            for b, _ in members:
                 if a != b:
                     adj[a].add(b)
     return refined, [sorted(s) for s in adj]

@@ -174,6 +174,20 @@ def test_tropical_line_fan_basis():
     )
 
 
+def test_balancing_and_wall_bases_take_no_interior_point(monkeypatch):
+    # each facet normal is signed by its facet row, so neither the
+    # balancing test nor the wall basis asks a cell or a ridge for an
+    # interior point (two per facet before)
+    calls = []
+    point = Polyhedron.interior_point
+    monkeypatch.setattr(Polyhedron, "interior_point", lambda self: calls.append(self) or point(self))
+    h = tropical_hypersurface(polytope(3, [(0, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 2)]))
+    assert is_balanced(h)[0]
+    wb = build_hypersurface_basis(3, h.cells)
+    assert len(wb.vectors) == 1 and cycles_equal(wb.weighting_cycle(wb.vectors[0]), h)
+    assert calls == []
+
+
 def test_unbalanceable_wall():
     wb = build_hypersurface_basis(2, [fan_ray((1, 0))])
     assert wb.vectors == ()

@@ -26,7 +26,7 @@ from oracles import (
     triangulation_volume,
     vgen_member,
 )
-from stabletrop import polyhedra
+from stabletrop import polyhedra, polytopes
 from stabletrop.errors import ValidationError
 from stabletrop.lattices import LatticeSubgroup, sum_lattices, vec_dot
 from stabletrop.linprog import feasible_point
@@ -428,6 +428,48 @@ def test_faces_need_no_conversion(monkeypatch):
     assert calls == []
 
 
+def test_face_queries_compute_each_incidence_once(monkeypatch):
+    # facets, all_faces and tropical_hypersurface read one cached incidence
+    # of the body: with both representations computed, two rounds of them
+    # make one integer dot per facet row and vertex (five times as many
+    # when each call tested the rows itself), and minimal_face_at at a
+    # vertex makes only the dots that test the point against the rows
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0), (1, 2, 2)])
+    body = p.polyhedron
+    (ineqs, eqs), verts = body.hrep(), body.vrep()[0]
+    dots = []
+    for module in (polyhedra, polytopes):
+        if hasattr(module, "vec_dot"):
+            monkeypatch.setattr(module, "vec_dot", lambda a, b: dots.append(1) or vec_dot(a, b))
+    for _ in range(2):
+        body.facets(), body.all_faces(), tropical_hypersurface(p)
+    assert (len(ineqs), len(verts), len(dots)) == (5, 5, 25)
+    dots.clear()
+    for _ in range(2):
+        for v in verts:
+            body.minimal_face_at(v)
+    assert len(dots) == 2 * len(verts) * (2 * len(ineqs) + len(eqs))
+
+
+def test_rows_are_made_primitive_at_the_door(monkeypatch):
+    # the canonical rows are primitive integer tuples, so intersecting and
+    # refining cells whose representations are computed, and converting
+    # the results, make no rational_to_primitive call (one per row and
+    # per constraint of each conversion before)
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    cells = list(tropical_hypersurface(p).cells) + [p.polyhedron, p.polyhedron.translate((1, 0, 0))]
+    for c in cells:
+        c.vrep(), c.hrep(), c.dim
+    calls = []
+    f = polyhedra.rational_to_primitive
+    monkeypatch.setattr(polyhedra, "rational_to_primitive", lambda v: calls.append(v) or f(v))
+    pieces = [piece for _, piece in refine_cells(cells)]
+    pieces += [a.intersect(b) for a in cells for b in cells]
+    for piece in pieces:
+        piece.vrep()
+    assert len(pieces) > 100 and calls == []
+
+
 def test_direction_lattice():
     seg = Polyhedron.from_vrep(2, [(0, 0), (2, 4)])
     assert seg.direction_lattice() == LatticeSubgroup.from_vectors(2, [(1, 2)])
@@ -570,8 +612,8 @@ def test_point_in_sum_matches_split_lp(data):
     if not (p.is_empty or q.is_empty):
         d = p.minkowski(negated(q))
         probes += [d.interior_point(), data.draw(st.sampled_from(d.vrep()[0]))]
-        for row in d.hrep()[0]:
-            x = d._face([row]).interior_point()
+        for row, s in zip(d.hrep()[0], d._incidence()):
+            x = d._face(s).interior_point()
             probes += [x] + [tuple(a + t * b for a, b in zip(x, row[:n])) for t in (Fraction(1, 7), Fraction(-1, 7))]
     for v in probes:
         assert point_in_sum(p, q, v) == split_point_in_sum([p, q], v, [1, -1])

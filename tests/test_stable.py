@@ -23,6 +23,7 @@ from stabletrop.cycles import (
     cycles_equal,
     is_balanced,
     normalize_weighted,
+    pushforward,
     scalar,
     zero_cycle,
 )
@@ -372,6 +373,61 @@ def test_translating_both_inputs_translates_the_result(data):
     assert [term.generic for term in after.terms] == [term.generic for term in before.terms]
 
 
+def split_cells(x, planes):
+    """x with every cell cut by each hyperplane a.x = b into the closed
+    pieces on its two sides that keep the cell's dimension."""
+    n = x.ambient_dim
+    pairs = x.weighted_cells()
+    for a, b in planes:
+        out = []
+        for c, m in pairs:
+            sides = [c.intersect(Polyhedron.from_hrep(n, [h])) for h in ((a, b), (tuple(-t for t in a), -b))]
+            keep = [p for p in sides if p.dim == c.dim]
+            out += [(p, m) for p in (keep[:1] if keep[0] == keep[-1] else keep)]
+        pairs = out
+    return cycle(n, pairs)
+
+
+@given(st.data())
+@settings(max_examples=30)
+def test_splitting_cells_keeps_the_product(data):
+    # X . Y is a cycle, defined up to refinement: cutting X's cells by
+    # random hyperplanes changes the pairs the engine weighs and the
+    # faces its displacement avoids, not the product
+    n = data.draw(st.sampled_from((2, 3)))
+    x, y = data.draw(small_hypersurfaces(n)), data.draw(small_hypersurfaces(n))
+    y = translated(y, data.draw(st.tuples(*[st.sampled_from((-1, 0, Fraction(1, 2)))] * n)))
+    normal = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
+    planes = data.draw(st.lists(st.tuples(normal, st.integers(-1, 1)), min_size=1, max_size=2))
+    split = split_cells(x, planes)
+    assert cycles_equal(split, x)
+    assert cycles_equal(stable_intersection(split, y), stable_intersection(x, y))
+
+
+@st.composite
+def unimodular(draw, n):
+    """A matrix in GL_n(Z): three random shears, then the rows permuted."""
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for _ in range(3):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-2, 2))
+        rows[i] = tuple(a + c * b for a, b in zip(rows[i], rows[j]))
+    return draw(st.permutations(rows))
+
+
+@given(st.data())
+@settings(max_examples=15)
+def test_unimodular_pushforward_commutes_with_the_product(data):
+    # a lattice automorphism A keeps every lattice index, so
+    # A_*(X . Y) = A_*X . A_*Y
+    n = data.draw(st.sampled_from((2, 3)))
+    x, y = data.draw(small_hypersurfaces(n)), data.draw(small_hypersurfaces(n))
+    y = translated(y, data.draw(st.tuples(*[st.sampled_from((-1, 0, Fraction(1, 2)))] * n)))
+    a = data.draw(unimodular(n))
+    want = pushforward(a, stable_intersection(x, y))
+    assert cycles_equal(stable_intersection(pushforward(a, x), pushforward(a, y)), want)
+
+
 def test_signed_q3_pair_runs_the_engine_once():
     # 2A - 2B for two crossing tetrahedral fans against a translated third
     # one; the planes of the negative cells of x cross the other cells
@@ -506,13 +562,6 @@ def test_perturbation_route_frozen():
     assert res.transverse.cells == (Polyhedron.point((0, 1)),)
     assert res.transverse.multiplicities == (1,)
     assert cycles_equal(res.limit, stable_intersection(t, t))
-
-
-def test_perturbation_eps_independence_for_fans():
-    t = tropical_line()
-    a = perturbation_intersection(t, t, eps=Fraction(1, 7))
-    b = perturbation_intersection(t, t, eps=5)
-    assert cycles_equal(a.limit, b.limit)
 
 
 def test_perturbation_rejects_non_fan():
