@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from stabletrop.cycles import TropicalCycle, cycle, cycle_sum, normalize_weighted
+from stabletrop.lattices import int_rank
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import RationalPolytope, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_intersection, stable_power
@@ -26,12 +27,20 @@ from stabletrop.stable import stable_intersection, stable_power
 
 def facet_graph(x: TropicalCycle):
     """Per-hull overlay of x plus the adjacency lists of its facets: two
-    facets are adjacent when they meet in dimension one less."""
+    facets are adjacent when they meet in dimension one less. A pair
+    whose affine hulls cannot meet in that dimension is skipped before
+    its intersection is converted: the stacked equality normals of two
+    d-cells have rank n - 2d + rank(N_a + N_b), so they exceed n - d + 1,
+    and aff a ∩ aff b has dimension below d - 1, exactly when the
+    direction lattices sum to rank more than d + 1 (`int_rank` on the
+    cells' cached lattices)."""
     refined = normalize_weighted(x.ambient_dim, x.weighted_cells())
+    d = refined.dim
     adj = [[] for _ in refined.cells]
+    lats = [c.direction_lattice().generators for c in refined.cells]
     for i, a in enumerate(refined.cells):
         for j in range(i + 1, len(refined.cells)):
-            if refined.dim > 0 and a.intersect(refined.cells[j]).dim == refined.dim - 1:
+            if d > 0 and int_rank(lats[i] + lats[j]) <= d + 1 and a.intersect(refined.cells[j]).dim == d - 1:
                 adj[i].append(j)
                 adj[j].append(i)
     return refined, adj

@@ -51,6 +51,8 @@ def loads(text: str) -> dict:
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested deeper than the parser goes
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def dumps(doc) -> str:

@@ -495,20 +495,31 @@ def transverse_links(p, q):
     normal lies in the span of the equality normals, decided in integers
     (`in_span`). The LP is feasible exactly when a point of A meets every
     non-constant row strictly; y/s is then such a point, and each link is
-    cut out by its cell's rows tight there."""
+    cut out by its cell's rows tight there, (a, 0) for a row (a, b).
+
+    No LP runs when the origin (0, ..., 0, 1) is feasible, as in
+    `point_in_sum`: every d is 0, every b of a constant row is >= 0 and
+    every other b is >= 1. That holds for two cones meeting in a point,
+    where every row is constant on A. Which feasible point is found does
+    not change the links: a non-constant row is strict at every one, and
+    a constant row takes one value on A. For the same reason the links
+    of (Q, P) are those of (P, Q) swapped."""
     n = p.ambient_dim
     (pi, pe), (qi, qe) = p.hrep(), q.hrep()
     constant = in_span([r[:n] for r in pe + qe], [r[:n] for r in pi + qi])
     lift = lambda r: r[:n] + (-r[n],)
-    ineqs = [(lift(r), 0 if c else -1) for r, c in zip(pi + qi, constant)]
-    point = feasible_point(n + 1, ineqs + [((0,) * n + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
-    if point is None:
-        return None
-    point = rational_to_primitive(point)  # same tight rows, integer dots
+    if all(r[n] == 0 for r in pe + qe) and all(r[n] >= (0 if c else 1) for r, c in zip(pi + qi, constant)):
+        point = (0,) * n + (1,)
+    else:
+        ineqs = [(lift(r), 0 if c else -1) for r, c in zip(pi + qi, constant)]
+        point = feasible_point(n + 1, ineqs + [((0,) * n + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
+        if point is None:
+            return None
+        point = rational_to_primitive(point)  # same tight rows, integer dots
 
     def link(rows, eqs):
-        tight = [(r[:n], 0) for r in rows if vec_dot(lift(r), point) == 0]
-        return Polyhedron.from_hrep(n, tight, [(r[:n], 0) for r in eqs])
+        tight = [primitive(r[:n]) + (0,) for r in rows if vec_dot(lift(r), point) == 0]
+        return Polyhedron._from_rows(n, tight, [primitive(r[:n]) + (0,) for r in eqs])
 
     return link(pi, pe), link(qi, qe)
 

@@ -12,11 +12,17 @@ with the rows constant on aff sigma ∩ aff tau found by integer
 elimination, and v in C_x - C_y is one LP on the links' rows with Q's
 right-hand sides shifted by a·v (`point_in_sum`); where the
 intersection is a point, this is the mixed-cell test of the tropical
-Bernstein count. Only a pair that passes builds its intersection. The
+Bernstein count; two cones meeting in a point are decided by the origin,
+with no LP. Only a pair that passes builds its intersection. The
 vector v avoids the spans of the rank-deficient face-lattice pairs, each
 found by a fraction-free rank test; a pair nested in one side's span
 sums to that side, and only the others take a Hermite form
-(`displacement_vector`). The terms are overlaid one affine hull at a
+(`displacement_vector`). A self-product, two factors with equal cells
+(h . h, or the overlay of h times h in `stable_power`), decides each
+unordered pair once: (j, i) takes the lattice sum and the swapped links
+of (i, j), and each unordered face-lattice pair is rank-tested once. The
+displacement test still runs per ordered pair, since v in C_i - C_j is
+not the test for (j, i). The terms are overlaid one affine hull at a
 time (`normalize_weighted`), so the overlay never sees two hulls at once.
 A product with the one cell c · Q^n is read off as c times that overlay
 of the other factor, with no run (`stable_intersection`).
@@ -97,14 +103,19 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     fraction-free elimination (`int_rank`). The lattices are saturated,
     so a deficient pair whose rank is one side's rank is nested in that
     side, which is its sum; only the other deficient pairs take the
-    Hermite form of their sum, the span to avoid."""
+    Hermite form of their sum, the span to avoid. When the factors have
+    equal cells, both sides have the same lattices and the sum does not
+    depend on the order, so each unordered pair is tested once; the
+    spans are deduplicated anyway (`pick_generic_vector`), so the
+    certificate is the same."""
     n = x.ambient_dim
-    lx, ly = (
-        dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()) for z in (x, y)
-    )
+    face_lattices = lambda z: list(dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()))
+    same = x.cells == y.cells
+    lx = face_lattices(x)
+    ly = lx if same else face_lattices(y)
     avoid = []
-    for a in lx:
-        for b in ly:
+    for i, a in enumerate(lx):
+        for b in ly[i:] if same else ly:
             rank = int_rank(a.generators + b.generators)
             if rank < n:
                 avoid.append(a if rank == a.rank else b if rank == b.rank else sum_lattices(a, b))
@@ -113,14 +124,22 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
 
 def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
     """(i, j, N_sigma + N_tau) for each cell pair whose direction
-    lattices sum to full rank; the sum gives the pair's lattice index."""
+    lattices sum to full rank, in row order; the sum gives the pair's
+    lattice index. When the factors have equal cells, the sum for
+    (j, i) is the one already taken for (i, j)."""
     n = x.ambient_dim
+    same = x.cells == y.cells
+    sums = {}
     out = []
     for i, sx in enumerate(x.cells):
         lx = sx.direction_lattice()
         for j, sy in enumerate(y.cells):
-            ly = sy.direction_lattice()
-            lat = sum_lattices(lx, ly)
+            if same and j < i:
+                lat = sums[j, i]
+            else:
+                lat = sum_lattices(lx, sy.direction_lattice())
+                if same:
+                    sums[i, j] = lat
             if lat.rank == n:
                 out.append((i, j, lat))
     return out
@@ -133,7 +152,9 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     adds its term on that intersection when the displaced links meet; the
     relative interior of the intersection lies in the relative interior
     of one face of each cell, so testing one interior point decides it.
-    Terms overlapping within one affine hull add up in the result."""
+    When the factors have equal cells, the links of (j, i) are those of
+    (i, j) swapped, kept for this run only. Terms overlapping within one
+    affine hull add up in the result."""
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
@@ -143,9 +164,17 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     amb = standard_lattice(n)
     weighted = []
     contribs = {}
+    same = x.cells == y.cells
+    decided = {}
     for i, j, lat in _spanning_pairs(x, y):
         sx, sy = x.cells[i], y.cells[j]
-        links = transverse_links(sx, sy)
+        if same and j < i:
+            back = decided[j, i]
+            links = None if back is None else (back[1], back[0])
+        else:
+            links = transverse_links(sx, sy)
+            if same:
+                decided[i, j] = links
         if links is None or not point_in_sum(*links, gen.vector):
             continue
         w = sx.intersect(sy)

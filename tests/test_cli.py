@@ -262,6 +262,21 @@ def test_non_primitive_rays_and_duplicate_cones_are_named_by_index(tmp_path, cap
         assert len(err.encode()) < 1024 and message in err
 
 
+def test_deeply_nested_documents_exit_2(tmp_path, capsys):
+    # a document nested 1000 deep, about 2 KB of "[" ... "]" or of
+    # {"a": ... }, is beyond the JSON parser's recursion: malformed input
+    # that exits 2 with a short message, not an uncaught RecursionError
+    depth = 1000
+    shapes = {"list": "[" * depth + "]" * depth, "object": '{"a":' * depth + "1" + "}" * depth}
+    for name, text in shapes.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("volume", "check-balanced"):
+            code, out, err = run(capsys, [command, str(path)])
+            assert code == 2 and out == "" and json.loads(err)["error"] == "parse"
+            assert len(err.encode()) < 1024 and "Traceback" not in err
+
+
 def test_dimension_mismatch_exits_4(tmp_path, capsys):
     t = write(tmp_path, "line.json", tropical_line_doc())
     three = write(

@@ -1,6 +1,7 @@
 """Connectivity through codimension one: facet graphs and components."""
 
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from stabletrop.cycles import (
     is_balanced,
     zero_cycle,
 )
+from stabletrop.documents import document_to_cycle, loads
 from stabletrop.polyhedra import Polyhedron, covered_by
 from stabletrop.polytopes import polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import stable_power
@@ -248,3 +250,67 @@ def test_balancing_and_components_do_not_depend_on_the_presentation(xs):
     x, refined = xs
     assert is_balanced(refined)[0] == is_balanced(x)[0]
     assert len(connected_components(refined)) == len(connected_components(x))
+
+
+def every_pair_adjacency(refined):
+    """Test-side facet graph of an overlay: every pair's intersection is
+    converted for its dimension, with no rank filter."""
+    d = refined.dim
+    return [
+        [j for j, b in enumerate(refined.cells) if j != i and d > 0 and a.intersect(b).dim == d - 1]
+        for i, a in enumerate(refined.cells)
+    ]
+
+
+def q5_reference(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "q5" / f"{name}.json"
+    return document_to_cycle(loads(path.read_text(encoding="utf-8")))
+
+
+def test_facet_graph_converts_only_pairs_whose_hulls_can_meet(monkeypatch):
+    # two 3-cells of t1 whose direction lattices sum to rank 5 cannot meet
+    # in a plane, so only 90 of t1's 190 pairs are converted, and 30 of
+    # slice1's 45; the four checks of the benchmark's q5-check unit call
+    # `intersect` 280 times (395 when every pair was converted). The
+    # graphs are those of converting every pair
+    cycles = {name: q5_reference(name) for name in ("t1", "slice1", "slice2")}
+    calls = []
+    intersect = Polyhedron.intersect
+    monkeypatch.setattr(Polyhedron, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
+    for name, pairs, converted in (("t1", 190, 90), ("slice1", 45, 30)):
+        calls.clear()
+        refined, adj = facet_graph(cycles[name])
+        assert len(refined.cells) * (len(refined.cells) - 1) // 2 == pairs
+        assert len(calls) == converted
+        assert adj == every_pair_adjacency(refined)
+    calls.clear()
+    assert is_balanced(cycles["slice1"])[0]
+    assert is_connected_through_codim1(cycles["slice1"]) and is_connected_through_codim1(cycles["t1"])
+    assert supports_meet_only_at_origin(cycles["slice1"], cycles["slice2"])
+    assert len(calls) == 280
+
+
+@st.composite
+def surfaces_in_q4(draw):
+    """Two-dimensional cones in Q^4 on pairs of a few small rays, some
+    translated: two cells share a ray, cross in a point, or miss, so
+    `facet_graph` skips pairs here, which it cannot for a hypersurface in
+    Q^2 or Q^3."""
+    rays = st.tuples(*[st.integers(-1, 1)] * 4).filter(any)
+    pool = draw(st.lists(rays, min_size=3, max_size=5, unique=True))
+    shift = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0)])
+    pairs = []
+    for _ in range(draw(st.integers(2, 5))):
+        cone = Polyhedron.cone_from_rays(4, draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True)))
+        if cone.dim == 2:
+            pairs.append((cone.translate(draw(shift)), draw(st.sampled_from([1, 2, -1]))))
+    return cycle(4, pairs)
+
+
+@settings(max_examples=30)
+@given(st.one_of(q2_presentation(), split_hypersurface_fans().map(lambda xs: xs[1]), surfaces_in_q4()))
+def test_facet_graph_matches_every_pair(x):
+    # the rank filter changes no edge: the graph is the one of converting
+    # every pair
+    refined, adj = facet_graph(x)
+    assert adj == every_pair_adjacency(refined)

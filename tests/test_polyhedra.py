@@ -620,15 +620,36 @@ def test_point_in_sum_matches_split_lp(data):
 
 
 @st.composite
+def fan_pairs(draw, n):
+    """Two cones of hypersurface fans of lattice polytopes in [0, 2]^n,
+    each a cell or a face of one, whose direction lattices sum to Z^n;
+    pairs meeting in a point (dimensions adding up to n) are frequent,
+    and the two fans are often the same one."""
+    coords = st.tuples(*[st.integers(0, 2)] * n)
+    bodies = st.lists(coords, min_size=2, max_size=n + 2, unique=True).map(lambda pts: polytope(n, pts))
+    fans = [tropical_hypersurface(draw(bodies)) for _ in range(2)]
+    assume(all(fan.cells for fan in fans))
+    if draw(st.booleans()):
+        fans[1] = fans[0]
+    p, q = (draw(st.sampled_from([f for c in fan.cells for f in c.all_faces()])) for fan in fans)
+    assume(sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
+    return p, q
+
+
+@st.composite
 def meeting_pairs(draw, n):
     """Two cells of `cut_cells` whose direction lattices sum to Z^n, as
     the engine pairs them, the second often translated. Or a cell P and
     a facet F of it shifted along F, maybe widened by a ray along F or
     any ray: such a pair meets inside F, touches P in a lower dimension,
-    overlaps P, or misses it."""
+    overlaps P, or misses it. Or two cones of hypersurface fans
+    (`fan_pairs`), which the origin decides with no LP."""
+    kind = draw(st.sampled_from(("cells", "facet", "fans")))
+    if kind == "fans":
+        return draw(fan_pairs(n))
     p = draw(cut_cells(n))
     facets = p.facets()
-    if facets and draw(st.booleans()):
+    if facets and kind == "facet":
         f = draw(st.sampled_from(facets))
         gens = f.direction_lattice().generators
         along = st.lists(st.integers(-1, 1), min_size=len(gens), max_size=len(gens)).map(
@@ -650,7 +671,8 @@ def test_transverse_links_match_intersect_then_link(data):
     # the pair test on the cells' rows against the engine's former chain,
     # which converts P ∩ Q for its dimension and tests the links at its
     # interior point: the same decision for every displacement, and where
-    # it passes, the same links
+    # it passes, the same links, also where the origin is the point and
+    # no LP runs
     n = data.draw(st.sampled_from((2, 3)))
     p, q = data.draw(meeting_pairs(n))
     links = transverse_links(p, q)
@@ -661,6 +683,27 @@ def test_transverse_links_match_intersect_then_link(data):
     if links is not None:
         gamma = w.interior_point()
         assert links == (link_at(p, gamma), link_at(q, gamma))
+
+
+@given(st.data())
+def test_transverse_links_of_a_swapped_pair_are_swapped(data):
+    # the engine takes the links of (Q, P) in a self-product from those of
+    # (P, Q): the same rows in the same order, only swapped; two cones
+    # meeting in a point run no LP
+    n = data.draw(st.sampled_from((2, 3)))
+    p, q = data.draw(meeting_pairs(n))
+    calls = []
+    lp = polyhedra.feasible_point
+    polyhedra.feasible_point = lambda *a: calls.append(1) or lp(*a)
+    try:
+        links, back = transverse_links(p, q), transverse_links(q, p)
+    finally:
+        polyhedra.feasible_point = lp
+    assert (links is None) == (back is None)
+    if links is not None:
+        assert [c._rows for c in links] == [c._rows for c in back[::-1]]
+    if p.is_cone and q.is_cone and p.dim + q.dim == n:
+        assert links is not None and not calls
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

@@ -30,7 +30,7 @@ from stabletrop.cycles import (
 from stabletrop import algebra, cycles, lattices, polyhedra, stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
-from stabletrop.polytopes import normalized_volume, polytope, tropical_hypersurface
+from stabletrop.polytopes import normalized_volume, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
     _spanning_pairs,
@@ -506,6 +506,83 @@ def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch
     monkeypatch.setattr(stable, "sum_lattices", lambda a, b: calls.append(1) or hnf(a, b))
     assert displacement_vector(x, y) == GenericVector((1, 3, 9), 3, 29)
     assert len(calls) == 16
+
+
+def q3_body_hypersurface():
+    """The hypersurface of the first body of `hypersurface_pair`: 6 cells
+    with 11 face lattices."""
+    return tropical_hypersurface(polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)]))
+
+
+def counting(monkeypatch, module, name, calls):
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(name) or f(*a))
+
+
+def test_self_product_decides_each_unordered_pair_once(monkeypatch):
+    # in h . h the pair (j, i) takes the swapped links of (i, j) and its
+    # lattice sum, and each unordered pair of the 11 face lattices is
+    # rank-tested once: 15 of the 30 ordered spanning pairs run
+    # `transverse_links`, 66 of 121 lattice pairs `int_rank` (55 + 11);
+    # the displacement test still runs per ordered pair, on the 24 that
+    # have links. The overlay of h has equal cells but is another object,
+    # and counts the same
+    h = q3_body_hypersurface()
+    overlay = normalize_weighted(3, h.weighted_cells())
+    assert overlay is not h and overlay.cells == h.cells
+    for x in (h, overlay):
+        calls = []
+        for name in ("transverse_links", "int_rank", "sum_lattices", "point_in_sum"):
+            counting(monkeypatch, stable, name, calls)
+        report = stable_intersection_report(x, h)
+        monkeypatch.undo()
+        assert len(_spanning_pairs(x, h)) == 30
+        assert calls.count("transverse_links") == 15 and calls.count("point_in_sum") == 24
+        assert calls.count("int_rank") == 66 and calls.count("sum_lattices") == 27
+        assert len(report.result.cells) == 4
+
+
+def test_self_product_certificate_and_contributions_are_pinned():
+    # recorded with every ordered pair decided on its own: taking the
+    # swapped links keeps the certificate and the contributions, in order
+    h = q3_body_hypersurface()
+    (term,) = stable_intersection_report(h, h).terms
+    assert term.generic == GenericVector((1, 2, 4), 2, 11)
+    assert term.contributions == (
+        (FacetContribution(2, 1, Fraction(1), Fraction(2)),),
+        (FacetContribution(4, 3, Fraction(1), Fraction(2)),),
+        (FacetContribution(5, 3, Fraction(1), Fraction(4)),),
+        (FacetContribution(2, 5, Fraction(1), Fraction(2)),),
+    )
+
+
+def test_fan_product_meeting_in_points_runs_no_pair_lp(monkeypatch):
+    # (h . h) . h is a product of fans whose spanning pairs meet in the
+    # origin, which `transverse_links` takes as its point: every LP of the
+    # run is a displacement test in the 3 ambient coordinates, none is a
+    # pair LP in the 4 homogenized ones
+    h = q3_body_hypersurface()
+    hh = stable_intersection(h, h)
+    calls = []
+    lp = polyhedra.feasible_point
+    monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a: calls.append(n) or lp(n, *a))
+    assert stable_intersection_report(hh, h).result.cells == (Polyhedron.point((0, 0, 0)),)
+    assert calls and set(calls) == {3}
+
+
+def test_simplex_volume_counts_in_q5(monkeypatch):
+    # the Q^5 simplex volume runs h . h, a self-product, then h^2 . h,
+    # h^3 . h and h^4 . h, the last a product of fans meeting in points;
+    # deciding every ordered pair on its own, with a pair LP each, took
+    # 7,296 `int_rank`, 3,630 `sum_lattices`, 615 `transverse_links` and
+    # 1,065 LPs
+    calls = []
+    for name in ("int_rank", "sum_lattices", "transverse_links"):
+        counting(monkeypatch, stable, name, calls)
+    counting(monkeypatch, polyhedra, "feasible_point", calls)
+    assert normalized_volume(standard_simplex(5)) == 1
+    counts = {name: calls.count(name) for name in dict.fromkeys(calls)}
+    assert counts == {"int_rank": 5700, "sum_lattices": 3015, "transverse_links": 510, "feasible_point": 930}
 
 
 def count_calls(monkeypatch, name):
