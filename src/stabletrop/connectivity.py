@@ -80,11 +80,18 @@ def is_connected_through_codim1(x: TropicalCycle) -> bool:
 
 
 def supports_meet_only_at_origin(a: TropicalCycle, b: TropicalCycle) -> bool:
-    """Whether every overlap of cells of a and b is exactly the origin."""
+    """Whether every overlap of cells of a and b is exactly the origin.
+    Two cones whose direction lattices sum to rank dim a + dim b have
+    spans meeting only at 0, so they meet in the origin alone and are
+    settled with no conversion (`int_rank`, as in `facet_graph`)."""
     n = a.ambient_dim
     origin = Polyhedron.point(tuple(0 for _ in range(n)))
     for ca in a.cells:
         for cb in b.cells:
+            if ca.is_cone and cb.is_cone:
+                la, lb = ca.direction_lattice(), cb.direction_lattice()
+                if int_rank(la.generators + lb.generators) == la.rank + lb.rank:
+                    continue
             w = ca.intersect(cb)
             if w.is_empty:
                 continue

@@ -128,12 +128,6 @@ def reduce_modulo(echelon, vectors) -> list:
     return out
 
 
-def in_span(rows, vectors) -> list:
-    """For each integer vector, whether it lies in the rational span of the
-    integer rows: one echelon of the rows, then one reduction per vector."""
-    return [vec_is_zero(v) for v in reduce_modulo(_echelon(rows), vectors)]
-
-
 def reduced_echelon(rows):
     """Reduced row echelon form over Q of a matrix of ints and Fractions,
     with its pivot columns. Each row is cleared of denominators, the

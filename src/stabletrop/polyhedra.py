@@ -49,8 +49,11 @@ read off the V side, so a face's H-rep is computed only when asked for.
 
 Rows, rays and lineality vectors are made primitive integer tuples at
 the door (`from_hrep`, `from_vrep`), and `hrep` homogenizes each point
-once, so `_dd` and `intersect` convert nothing.
-"""
+once, so `_dd` and `intersect` convert nothing. The engine's pair test
+`link_difference` reads the canonical rows of both cells: one integer
+elimination gives the rows of C_P - C_Q, the difference of their links,
+and an LP runs only for a pair that is not two cones meeting in a point
+or along a line."""
 
 from __future__ import annotations
 
@@ -59,8 +62,9 @@ from fractions import Fraction
 from stabletrop.errors import DimensionError, ValidationError
 from stabletrop.lattices import (
     LatticeSubgroup,
-    in_span,
+    _echelon,
     int_rank,
+    integer_kernel,
     primitive,
     rational_to_primitive,
     reduce_modulo,
@@ -485,51 +489,57 @@ class Polyhedron:
         return not self.is_empty and self in other.all_faces()
 
 
-def transverse_links(p, q):
-    """The links (C_P, C_Q) along the relative interior of P ∩ Q, or None
-    unless P ∩ Q has the dimension of A = aff P ∩ aff Q. One LP on the
-    canonical rows in homogenized coordinates (y, s), with no conversion:
-    c·y = d·s for the equality rows, a·y - b·s <= -1 for each inequality
-    row not constant on A and <= 0 for one that is (so a pair meeting
-    inside a face passes), and s >= 1. A row is constant on A when its
-    normal lies in the span of the equality normals, decided in integers
-    (`in_span`). The LP is feasible exactly when a point of A meets every
-    non-constant row strictly; y/s is then such a point, and each link is
-    cut out by its cell's rows tight there, (a, 0) for a row (a, b).
+def link_difference(p, q):
+    """The integer rows g with C_P - C_Q = {v : g·v >= 0}, C_P and C_Q the
+    links of P and Q along relint(P ∩ Q), or None unless P ∩ Q has the
+    dimension of A = aff P ∩ aff Q. This holds for any spanning pair: its
+    equality normals are then independent, so P's equalities c·y = 0 and
+    Q's c·y = c·v have a solution y for every v, and a row tight along
+    relint(P ∩ Q), being constant on A, is there a linear function of v.
+    One Bareiss echelon of the equality rows beside their v-coefficients,
+    (c | 0) for P's and (c | c) for Q's, and one reduction of the
+    inequality rows, (a | 0) and (a | a), read it off: a reduced row whose
+    first n entries are zero is constant on A, and the last n entries of
+    each such row tight at the pair's point are its g; (Q, P) gives -g.
 
-    No LP runs when the origin (0, ..., 0, 1) is feasible, as in
-    `point_in_sum`: every d is 0, every b of a constant row is >= 0 and
-    every other b is >= 1. That holds for two cones meeting in a point,
-    where every row is constant on A. Which feasible point is found does
-    not change the links: a non-constant row is strict at every one, and
-    a constant row takes one value on A. For the same reason the links
-    of (Q, P) are those of (P, Q) swapped."""
+    The point is the origin of the homogenized coordinates (y, s) when it
+    is feasible: every d is 0, every b of a constant row is >= 0 and every
+    other b is >= 1, as for two cones meeting in a point. Two cones whose
+    hulls meet in a line pass exactly when the non-constant rows take one
+    sign on its direction, and the origin serves as their point, since a
+    constant row takes one value on A. Any other pair runs one LP:
+    c·y = d·s, a·y - b·s <= -1 for a non-constant row and <= 0 for a
+    constant one, and s >= 1; a non-constant row is strict at every
+    feasible point, so which one is found does not change g."""
     n = p.ambient_dim
     (pi, pe), (qi, qe) = p.hrep(), q.hrep()
-    constant = in_span([r[:n] for r in pe + qe], [r[:n] for r in pi + qi])
+    zero = (0,) * n
+    echelon = _echelon([r[:n] + zero for r in pe] + [r[:n] + r[:n] for r in qe])
+    rows = pi + qi
+    reduced = reduce_modulo(echelon, [r[:n] + zero for r in pi] + [r[:n] + r[:n] for r in qi])
+    constant = [vec_is_zero(r[:n]) for r in reduced]
     lift = lambda r: r[:n] + (-r[n],)
-    if all(r[n] == 0 for r in pe + qe) and all(r[n] >= (0 if c else 1) for r, c in zip(pi + qi, constant)):
-        point = (0,) * n + (1,)
-    else:
-        ineqs = [(lift(r), 0 if c else -1) for r, c in zip(pi + qi, constant)]
-        point = feasible_point(n + 1, ineqs + [((0,) * n + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
+    point = zero + (1,)
+    at_origin = all(r[n] == 0 for r in pe + qe)
+    if at_origin and all(r[n] == 0 for r in rows) and len(echelon) == n - 1:
+        (d,) = integer_kernel([r[:n] for r in pe + qe] or [zero])  # Q^1 has no equality rows
+        if len({vec_dot(r[:n], d) > 0 for r, c in zip(rows, constant) if not c}) > 1:
+            return None
+    elif not (at_origin and all(r[n] >= (0 if c else 1) for r, c in zip(rows, constant))):
+        ineqs = [(lift(r), 0 if c else -1) for r, c in zip(rows, constant)]
+        point = feasible_point(n + 1, ineqs + [(zero + (-1,), -1)], [(lift(r), 0) for r in pe + qe])
         if point is None:
             return None
         point = rational_to_primitive(point)  # same tight rows, integer dots
-
-    def link(rows, eqs):
-        tight = [primitive(r[:n]) + (0,) for r in rows if vec_dot(lift(r), point) == 0]
-        return Polyhedron._from_rows(n, tight, [primitive(r[:n]) + (0,) for r in eqs])
-
-    return link(pi, pe), link(qi, qe)
+    return [g[n:] for g, r, c in zip(reduced, rows, constant) if c and vec_dot(lift(r), point) == 0]
 
 
 def point_in_sum(p, q, v):
     """Whether v lies in the Minkowski difference P - Q, that is whether
-    P meets Q + v: the displacement test of the fan displacement rule.
-    One LP on P's rows and Q's rows with right-hand sides shifted by a·v,
-    or none when the origin is feasible (two cones); no polyhedron is
-    built."""
+    P meets Q + v: one LP on P's rows and Q's rows with right-hand sides
+    shifted by a·v, or none when the origin is feasible (two cones). The
+    engine's displacement test before `link_difference`; the tests check
+    `link_difference` against it."""
     n = p.ambient_dim
     (pi, pe), (qi, qe) = p._constraints(), q._constraints()
     shift = lambda r: (r[:n], r[n] + vec_dot(r[:n], v))

@@ -2,28 +2,26 @@
 
 The primary engine evaluates the displacement definition directly, one
 cell pair at a time (the fan displacement rule): a pair whose direction
-spans fill the ambient space, whose intersection has the expected
-dimension, and whose links C_x, C_y at an interior point of it still
-meet after C_y is moved by a certified generic displacement vector v
-adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
+lattices sum to full rank (`int_rank`), whose intersection has the
+expected dimension, and whose links C_x, C_y at an interior point of it
+still meet after C_y is moved by a certified generic displacement vector
+v adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
 Both tests read the cells' integer canonical rows and convert nothing:
-one LP (`transverse_links`) decides the dimension and gives the links,
-with the rows constant on aff sigma ∩ aff tau found by integer
-elimination, and v in C_x - C_y is one LP on the links' rows with Q's
-right-hand sides shifted by a·v (`point_in_sum`); where the
-intersection is a point, this is the mixed-cell test of the tropical
-Bernstein count; two cones meeting in a point are decided by the origin,
-with no LP. Only a pair that passes builds its intersection. The
-vector v avoids the spans of the rank-deficient face-lattice pairs, each
-found by a fraction-free rank test; a pair nested in one side's span
-sums to that side, and only the others take a Hermite form
-(`displacement_vector`). A self-product, two factors with equal cells
-(h . h, or the overlay of h times h in `stable_power`), decides each
-unordered pair once: (j, i) takes the lattice sum and the swapped links
-of (i, j), and each unordered face-lattice pair is rank-tested once. The
-displacement test still runs per ordered pair, since v in C_i - C_j is
-not the test for (j, i). The terms are overlaid one affine hull at a
-time (`normalize_weighted`), so the overlay never sees two hulls at once.
+`link_difference` decides the dimension, by the origin, by signs on a
+line, or else by one LP, and gives the integer rows g of C_x - C_y, found
+by one elimination; v then passes when every g·v >= 0, with no LP. Where
+the intersection is a point, this is the mixed-cell test of the tropical
+Bernstein count. Only a pair that passes takes the Hermite form of its
+lattice sum and builds its intersection. The vector v avoids the spans
+of the rank-deficient face-lattice pairs, each found by a fraction-free
+rank test; a pair nested in one side's span sums to that side, and only
+the others take a Hermite form (`displacement_vector`). A self-product,
+two factors with equal cells (h . h, or the overlay of h times h in
+`stable_power`), decides each unordered pair once: (j, i) takes the rank
+and the rows of (i, j), and passes when every g·v <= 0, since
+C_j - C_i = -(C_i - C_j); each unordered face-lattice pair is
+rank-tested once. The terms are overlaid one affine hull at a time
+(`normalize_weighted`), so the overlay never sees two hulls at once.
 A product with the one cell c · Q^n is read off as c times that overlay
 of the other factor, with no run (`stable_intersection`).
 
@@ -60,8 +58,9 @@ from stabletrop.lattices import (
     lattice_index,
     standard_lattice,
     sum_lattices,
+    vec_dot,
 )
-from stabletrop.polyhedra import Polyhedron, point_in_sum, transverse_links
+from stabletrop.polyhedra import Polyhedron, link_difference
 
 
 # Python's default limit on the digits of an int written as text
@@ -123,26 +122,19 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
 
 
 def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
-    """(i, j, N_sigma + N_tau) for each cell pair whose direction
-    lattices sum to full rank, in row order; the sum gives the pair's
-    lattice index. When the factors have equal cells, the sum for
-    (j, i) is the one already taken for (i, j)."""
+    """(i, j) for each cell pair whose direction lattices sum to full
+    rank (`int_rank`), in row order; with equal cells, (j, i) takes the
+    rank of (i, j)."""
     n = x.ambient_dim
     same = x.cells == y.cells
-    sums = {}
-    out = []
+    lats = [c.direction_lattice().generators for c in y.cells]
+    full = {}
     for i, sx in enumerate(x.cells):
-        lx = sx.direction_lattice()
-        for j, sy in enumerate(y.cells):
-            if same and j < i:
-                lat = sums[j, i]
-            else:
-                lat = sum_lattices(lx, sy.direction_lattice())
-                if same:
-                    sums[i, j] = lat
-            if lat.rank == n:
-                out.append((i, j, lat))
-    return out
+        lx = sx.direction_lattice().generators
+        for j, ly in enumerate(lats):
+            if ((j, i) in full) if same and j < i else int_rank(lx + ly) == n:
+                full[i, j] = True
+    return list(full)
 
 
 def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> IntersectionReport:
@@ -152,9 +144,9 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     adds its term on that intersection when the displaced links meet; the
     relative interior of the intersection lies in the relative interior
     of one face of each cell, so testing one interior point decides it.
-    When the factors have equal cells, the links of (j, i) are those of
-    (i, j) swapped, kept for this run only. Terms overlapping within one
-    affine hull add up in the result."""
+    When the factors have equal cells, (j, i) tests the rows of (i, j)
+    with the sign turned, kept for this run only. Terms overlapping
+    within one affine hull add up in the result."""
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
@@ -166,19 +158,14 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     contribs = {}
     same = x.cells == y.cells
     decided = {}
-    for i, j, lat in _spanning_pairs(x, y):
+    for i, j in _spanning_pairs(x, y):
         sx, sy = x.cells[i], y.cells[j]
-        if same and j < i:
-            back = decided[j, i]
-            links = None if back is None else (back[1], back[0])
-        else:
-            links = transverse_links(sx, sy)
-            if same:
-                decided[i, j] = links
-        if links is None or not point_in_sum(*links, gen.vector):
+        sign = -1 if same and j < i else 1
+        rows = decided[j, i] if sign < 0 else decided.setdefault((i, j), link_difference(sx, sy))
+        if rows is None or any(sign * vec_dot(g, gen.vector) < 0 for g in rows):
             continue
+        idx = lattice_index(amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice()))
         w = sx.intersect(sy)
-        idx = lattice_index(amb, lat)
         term = x.multiplicities[i] * y.multiplicities[j] * idx
         weighted.append((w, term))
         contribs.setdefault(w.key(), []).append(FacetContribution(i, j, idx, term))
@@ -275,10 +262,12 @@ def perturbation_intersection(x: TropicalCycle, y: TropicalCycle) -> Perturbatio
     amb = standard_lattice(n)
     weighted = []
     limit = []
-    for i, j, lat in _spanning_pairs(x, y):
-        w = x.cells[i].intersect(y.cells[j].translate(gen.vector))
+    for i, j in _spanning_pairs(x, y):
+        sx, sy = x.cells[i], y.cells[j]
+        w = sx.intersect(sy.translate(gen.vector))
         if w.is_empty:
             continue
+        lat = sum_lattices(sx.direction_lattice(), sy.direction_lattice())
         term = x.multiplicities[i] * y.multiplicities[j] * lattice_index(amb, lat)
         weighted.append((w, term))
         rec = w.recession()

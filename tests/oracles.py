@@ -16,11 +16,14 @@ cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
 rows made equalities, the reference for faces read off the V-rep.
 `split_point_in_sum` decides membership in a signed Minkowski sum by one
 LP over the stacked coordinates of all operands, the reference for the
-library's displacement test by intersection. `intersect_then_link` is
-the engine's former pair decision, converting the pair's intersection
-for its dimension and testing the links at its interior point, the
-reference for `transverse_links`; `link_at` is the link cone it tests,
-cut out by the rows tight at a point. `diagonal_intersection` is the
+library's LP displacement test by intersection, `point_in_sum`.
+`intersect_then_link` is the engine's former pair decision, converting
+the pair's intersection for its dimension and testing the links at its
+interior point by `point_in_sum`, the reference for `link_difference`,
+whose rows are also compared with the Minkowski difference of the links;
+`link_at` is the link cone it tests, cut out by the rows tight at a
+point. `point_in_sum` stays in the library, where the benchmark's tracer
+binds it by name, though the engine no longer calls it. `diagonal_intersection` is the
 diagonal route of stable intersection, (X x Y) . diagonal read back
 through the first factor, a cross-check of the engine on other inputs,
 and `link_cycle` the local picture of a cycle at a point.
@@ -931,9 +934,10 @@ def link_cycle(x, w):
 
 
 def intersect_then_link(p, q, v):
-    """The engine's pair decision before `transverse_links`: convert
-    P ∩ Q to read its dimension, take its interior point, and test the
-    links there. True when the pair contributes."""
+    """The engine's pair decision before its pair tests read the cells'
+    rows (`link_difference`): convert P ∩ Q to read its dimension, take
+    its interior point, and test the links there. True when the pair
+    contributes."""
     k_res = p.dim + q.dim - p.ambient_dim
     w = p.intersect(q)
     if w.dim != k_res:

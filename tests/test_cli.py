@@ -103,6 +103,24 @@ def test_stable_intersect_with_ambient_echoes_input(tmp_path, capsys):
     assert cycles_equal(parsed, original)
 
 
+def test_stable_intersect_in_q1(tmp_path, capsys):
+    fan = {
+        "ambient_dim": 1,
+        "rays": [[1], [-1]],
+        "lineality": [],
+        "cones": [{"rays": [0], "mult": "1"}, {"rays": [1], "mult": "1"}],
+    }
+    cell = {"ambient_dim": 1, "rays": [], "lineality": [[1]], "cones": [{"rays": [], "mult": "2"}]}
+    f, c = write(tmp_path, "fan.json", fan), write(tmp_path, "cell.json", cell)
+    rays = {"ambient_dim": 1, "rays": [[-1], [1]], "lineality": []}
+    for x, y, m in [(f, f, "1"), (f, c, "2"), (c, f, "2")]:
+        code, out, err = run(capsys, ["stable-intersect", x, y])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {**rays, "cones": [{"mult": m, "rays": [0]}, {"mult": m, "rays": [1]}]}
+    code, out, _ = run(capsys, ["stable-intersect", c, c])
+    assert code == 0 and json.loads(out) == {**cell, "cones": [{"rays": [], "mult": "4"}]}
+
+
 def test_mixed_volume_of_two_simplices_is_one(tmp_path, capsys):
     p = write(tmp_path, "simplex.json", simplex_doc())
     code, out, _ = run(capsys, ["mixed-volume", p, p])
@@ -406,3 +424,66 @@ def test_decompose_in_q3_over_a_refined_fan(tmp_path, capsys):
     code, out, err = run(capsys, ["check-balanced", fan])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"ambient_dim": 3, "balanced": True, "cells": 21, "dim": 2, "unbalanced_ridges": 0}
+
+
+def test_adversarial_corpus_ends_as_documented(tmp_path, capsys):
+    # malformed, degenerate and extreme documents through every command
+    # that reads them: each ends with a documented exit code (0, 2, 3, 4
+    # or 5), a short stderr and no traceback
+    line = tropical_line_doc()
+    point = {"rays": [], "lineality": [], "cones": [{"rays": [], "mult": "1"}]}
+    big = str(10**3999)
+    nested = {"list": "[" * 1000 + "]" * 1000, "object": '{"a":' * 1000 + "1" + "}" * 1000}
+    cycles = {
+        "dim_zero": dict(point, ambient_dim=0),
+        "dim_negative": dict(point, ambient_dim=-1),
+        "dim_true": dict(point, ambient_dim=True),
+        "index_out_of_range": dict(line, cones=[{"rays": [3], "mult": "1"}]),
+        "index_negative": dict(line, cones=[{"rays": [-1], "mult": "1"}]),
+        "zero_mult": dict(line, cones=[{"rays": [0], "mult": "0"}]),
+        "zero_ray": dict(line, rays=[[0, 0], [0, 1], [1, 0]]),
+        "zero_lineality": dict(line, lineality=[[0, 0]]),
+        "duplicate_cones": dict(line, cones=line["cones"] + line["cones"][:1]),
+        "long_ray": dict(line, rays=[[-1, "-" + big], [1, big]], cones=[{"rays": [0, 1], "mult": "1"}]),
+        "long_lineality": dict(point, ambient_dim=2, lineality=[[1, big]]),
+        "long_denominator": dict(line, cones=[dict(c, mult="1/" + big) for c in line["cones"]]),
+        "long_mult": dict(line, cones=[dict(c, mult=big) for c in line["cones"]]),
+    }
+    polytopes = {
+        "dim_zero": {"ambient_dim": 0, "vertices": [[]]},
+        "dim_negative": {"ambient_dim": -1, "vertices": [[0]]},
+        "dim_true": {"ambient_dim": True, "vertices": [[0], [1]]},
+        "ragged": {"ambient_dim": 2, "vertices": [[0, 0], [1], [0, 1]]},
+        "no_vertices": {"ambient_dim": 2, "vertices": []},
+        "long_coordinate": {"ambient_dim": 2, "vertices": [[0, 0], [big, 0], [0, 1]]},
+        "long_denominator": {"ambient_dim": 2, "vertices": [[0, 0], ["1/" + big, 0], [0, 1]]},
+    }
+    matrices = {
+        "non_integer": {"rows": [["1/2", 0], [0, 1]]},
+        "no_rows": {"rows": []},
+        "empty_rows": {"rows": [[], []]},
+        "zero": {"rows": [[0, 0], [0, 0]]},
+        "ragged": {"rows": [[1], [0, 1]]},
+    }
+    paths = lambda kind, docs: [write(tmp_path, f"{kind}_{k}.json", doc) for k, doc in docs.items()]
+    nests = []
+    for k, text in nested.items():
+        (tmp_path / f"nested_{k}.json").write_text(text, encoding="utf-8")
+        nests.append(str(tmp_path / f"nested_{k}.json"))
+    t = write(tmp_path, "line.json", line)
+    simplex = write(tmp_path, "simplex.json", simplex_doc())
+    identity = write(tmp_path, "identity.json", {"rows": [[1, 0], [0, 1]]})
+    classical = write(tmp_path, "classical.json", dict(point, ambient_dim=2, lineality=[[1, 1]]))
+    cases = []
+    for c in paths("cycle", cycles) + nests:
+        cases += [["check-balanced", c], ["connectivity", c], ["power", c, "2"], ["cycle-sum", c, c]]
+        cases += [["stable-intersect", c, t, "--explain", "--oracle"], ["pushforward", identity, c], ["decompose", c, t]]
+    for p in paths("polytope", polytopes) + nests:
+        cases += [["volume", p], ["hypersurface", p], ["mixed-volume", p, simplex]]
+    cases += [["pushforward", m, t] for m in paths("matrix", matrices) + nests]
+    cases += [["power", c, k] for c in (t, classical, write(tmp_path, "q2.json", ambient_doc())) for k in ("-1", str(10**20))]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code in (0, 2, 3, 4, 5), argv
+        assert len(err.encode()) < 1024 and "Traceback" not in err, argv
+        assert err == "" or json.loads(err)["error"] in ("parse", "validation", "dimension"), argv

@@ -270,9 +270,12 @@ def q5_reference(name):
 def test_facet_graph_converts_only_pairs_whose_hulls_can_meet(monkeypatch):
     # two 3-cells of t1 whose direction lattices sum to rank 5 cannot meet
     # in a plane, so only 90 of t1's 190 pairs are converted, and 30 of
-    # slice1's 45; the four checks of the benchmark's q5-check unit call
-    # `intersect` 280 times (395 when every pair was converted). The
-    # graphs are those of converting every pair
+    # slice1's 45; two cones of slice1 and slice2 whose lattices sum to
+    # the rank of both meet only at the origin, which settles 150 of
+    # their 160 pairs, so the four checks of the benchmark's q5-check unit
+    # call `intersect` 130 times (280 when every pair of slice1 and slice2
+    # was converted, 395 when every pair was). The graphs are those of
+    # converting every pair
     cycles = {name: q5_reference(name) for name in ("t1", "slice1", "slice2")}
     calls = []
     intersect = Polyhedron.intersect
@@ -287,7 +290,7 @@ def test_facet_graph_converts_only_pairs_whose_hulls_can_meet(monkeypatch):
     assert is_balanced(cycles["slice1"])[0]
     assert is_connected_through_codim1(cycles["slice1"]) and is_connected_through_codim1(cycles["t1"])
     assert supports_meet_only_at_origin(cycles["slice1"], cycles["slice2"])
-    assert len(calls) == 280
+    assert len(calls) == 130
 
 
 @st.composite
@@ -314,3 +317,17 @@ def test_facet_graph_matches_every_pair(x):
     # every pair
     refined, adj = facet_graph(x)
     assert adj == every_pair_adjacency(refined)
+
+
+def every_pair_meets_only_at_origin(a, b):
+    """Test-side `supports_meet_only_at_origin`: every pair converted."""
+    origin = Polyhedron.point((0,) * a.ambient_dim)
+    return all(w.is_empty or w == origin for w in (ca.intersect(cb) for ca in a.cells for cb in b.cells))
+
+
+@settings(max_examples=30)
+@given(surfaces_in_q4(), surfaces_in_q4())
+def test_meeting_only_at_origin_matches_every_pair(a, b):
+    # two cones whose lattices sum to the rank of both are settled with no
+    # conversion; the answer is the one of converting every pair
+    assert supports_meet_only_at_origin(a, b) == every_pair_meets_only_at_origin(a, b)

@@ -39,8 +39,8 @@ from stabletrop.algebra import _null_space
 from stabletrop.lattices import (
     LatticeSubgroup,
     SubgroupError,
+    _echelon,
     identity_matrix,
-    in_span,
     int_rank,
     integer_kernel,
     intersect_lattices,
@@ -49,6 +49,7 @@ from stabletrop.lattices import (
     primitive,
     quotient_matrix,
     rational_to_primitive,
+    reduce_modulo,
     reduced_echelon,
     row_hermite,
     saturation,
@@ -56,6 +57,7 @@ from stabletrop.lattices import (
     sum_lattices,
     transpose,
     vec_dot,
+    vec_is_zero,
     zero_subgroup,
 )
 
@@ -145,6 +147,14 @@ def test_int_rank_examples():
     assert int_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 3
     assert int_rank([(0, 0), (0, 0)]) == 0
     assert rank_rows([(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2))]) == 1
+
+
+def in_span(rows, vectors):
+    """The span test the engine reads off one echelon: a vector lies in
+    the span of the rows exactly when it reduces to zero modulo their
+    echelon (`link_difference` finds the rows constant on a pair's affine
+    hull this way)."""
+    return [vec_is_zero(v) for v in reduce_modulo(_echelon(rows), vectors)]
 
 
 def test_span_test_examples():

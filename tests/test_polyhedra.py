@@ -35,9 +35,9 @@ from stabletrop.polyhedra import (
     _cut,
     _hyperplanes_of,
     is_polyhedral_complex,
+    link_difference,
     point_in_sum,
     refine_cells,
-    transverse_links,
 )
 from stabletrop.polytopes import polytope, tropical_hypersurface
 
@@ -666,44 +666,51 @@ def meeting_pairs(draw, n):
     return p, q
 
 
+def difference_cone(n, rows):
+    """The cone {v : g·v >= 0 for every row g}."""
+    return Polyhedron.from_hrep(n, [(tuple(-x for x in g), 0) for g in rows])
+
+
 @given(st.data())
-def test_transverse_links_match_intersect_then_link(data):
+def test_link_difference_matches_intersect_then_link(data):
     # the pair test on the cells' rows against the engine's former chain,
     # which converts P ∩ Q for its dimension and tests the links at its
-    # interior point: the same decision for every displacement, and where
-    # it passes, the same links, also where the origin is the point and
-    # no LP runs
+    # interior point by an LP: the same decision for every displacement,
+    # and where it passes, rows that cut out exactly the Minkowski
+    # difference of the links there, also where no LP runs
     n = data.draw(st.sampled_from((2, 3)))
     p, q = data.draw(meeting_pairs(n))
-    links = transverse_links(p, q)
+    rows = link_difference(p, q)
     w = p.intersect(q)
-    assert (links is not None) == (w.dim == p.dim + q.dim - n)
+    assert (rows is not None) == (w.dim == p.dim + q.dim - n)
     for v in [data.draw(ivec(n)) for _ in range(3)]:
-        assert (links is not None and point_in_sum(*links, v)) == intersect_then_link(p, q, v)
-    if links is not None:
+        assert (rows is not None and all(vec_dot(g, v) >= 0 for g in rows)) == intersect_then_link(p, q, v)
+    if rows is not None:
         gamma = w.interior_point()
-        assert links == (link_at(p, gamma), link_at(q, gamma))
+        assert difference_cone(n, rows) == link_at(p, gamma).minkowski(negated(link_at(q, gamma)))
 
 
 @given(st.data())
-def test_transverse_links_of_a_swapped_pair_are_swapped(data):
-    # the engine takes the links of (Q, P) in a self-product from those of
-    # (P, Q): the same rows in the same order, only swapped; two cones
-    # meeting in a point run no LP
+def test_link_difference_of_a_swapped_pair_is_negated(data):
+    # the engine tests (Q, P) in a self-product on the rows of (P, Q) with
+    # the sign turned: C_Q - C_P = -(C_P - C_Q). Two cones meeting in a
+    # point pass with no LP, and two cones whose hulls meet in a line are
+    # decided by signs, with no LP either
     n = data.draw(st.sampled_from((2, 3)))
     p, q = data.draw(meeting_pairs(n))
     calls = []
     lp = polyhedra.feasible_point
     polyhedra.feasible_point = lambda *a: calls.append(1) or lp(*a)
     try:
-        links, back = transverse_links(p, q), transverse_links(q, p)
+        rows, back = link_difference(p, q), link_difference(q, p)
     finally:
         polyhedra.feasible_point = lp
-    assert (links is None) == (back is None)
-    if links is not None:
-        assert [c._rows for c in links] == [c._rows for c in back[::-1]]
-    if p.is_cone and q.is_cone and p.dim + q.dim == n:
-        assert links is not None and not calls
+    assert (rows is None) == (back is None)
+    if rows is not None:
+        assert difference_cone(n, back) == negated(difference_cone(n, rows))
+    if p.is_cone and q.is_cone and p.dim + q.dim <= n + 1:
+        assert not calls
+        assert rows is not None or p.dim + q.dim == n + 1
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

@@ -30,7 +30,7 @@ from stabletrop.cycles import (
 from stabletrop import algebra, cycles, lattices, polyhedra, stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
-from stabletrop.polytopes import normalized_volume, polytope, standard_simplex, tropical_hypersurface
+from stabletrop.polytopes import mixed_volume, normalized_volume, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
     _spanning_pairs,
@@ -118,6 +118,27 @@ def test_overlapping_translated_lines():
     z = stable_intersection(tropical_line((1, 1)), tropical_line())
     assert z.cells == (origin,)
     assert z.multiplicities == (1,)
+
+
+def test_codimension_zero_products_in_q1():
+    # two cones of Q^1 have no equality rows, and their hulls meet in the
+    # line Q^1 itself: the sign check reads its direction (1,)
+    plus, minus = ray(1, (1,)), ray(1, (-1,))
+    fan = cycle(1, [(plus, 1), (minus, 1)])
+    cell = cycle(1, [(Polyhedron.from_vrep(1, [(0,)], lin=[(1,)]), 2)])
+    pos = cycle(1, [(plus, 1)])
+    for x, y, want in [
+        (fan, fan, fan),
+        (fan, cell, scalar(2, fan)),
+        (cell, fan, scalar(2, fan)),
+        (cell, cell, scalar(2, cell)),
+        (pos, fan, pos),
+        (pos, cell, scalar(2, pos)),
+        (pos, pos, pos),
+    ]:
+        z = stable_intersection_report(x, y).result
+        assert cycles_equal(z, want)
+        assert cycles_equal(z, diagonal_intersection(x, y))
 
 
 def test_expected_dimension_rules():
@@ -457,12 +478,12 @@ def hypersurface_pair():
 
 def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     # each spanning pair is decided by one LP on the cells' rows in the
-    # homogenized coordinates (y, s), 4 variables in Q^3, and each pair
-    # that passes runs the displacement test C_x meeting C_y + v, one LP in
-    # the 3 ambient coordinates unless the origin decides it; no LP checks
-    # the emptiness of a pair's intersection (converting each intersection
-    # for its dimension made 49 LPs, all in 3 variables). The counts pin
-    # the work
+    # homogenized coordinates (y, s), 4 variables in Q^3, and the
+    # displacement test of a pair that passes is the signs of g·v on the
+    # rows of C_x - C_y, with no LP (an LP in the 3 ambient coordinates
+    # each made 14 more); no LP checks the emptiness of a pair's
+    # intersection (converting each intersection for its dimension made
+    # 49 LPs, all in 3 variables). The counts pin the work
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
     q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
     x = tropical_hypersurface(p)
@@ -472,8 +493,7 @@ def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a, **k: calls.append(n) or lp(n, *a, **k))
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 14
-    assert len(_spanning_pairs(x, y)) == calls.count(4) == 35
-    assert calls.count(3) == 14 and len(calls) == 49
+    assert len(_spanning_pairs(x, y)) == calls.count(4) == len(calls) == 35
 
 
 def test_engine_converts_only_contributing_intersections(monkeypatch):
@@ -520,25 +540,29 @@ def counting(monkeypatch, module, name, calls):
 
 
 def test_self_product_decides_each_unordered_pair_once(monkeypatch):
-    # in h . h the pair (j, i) takes the swapped links of (i, j) and its
-    # lattice sum, and each unordered pair of the 11 face lattices is
-    # rank-tested once: 15 of the 30 ordered spanning pairs run
-    # `transverse_links`, 66 of 121 lattice pairs `int_rank` (55 + 11);
-    # the displacement test still runs per ordered pair, on the 24 that
-    # have links. The overlay of h has equal cells but is another object,
-    # and counts the same
+    # in h . h the pair (j, i) takes the rank of (i, j) and tests its
+    # displacement on the rows of C_i - C_j with the sign turned, and
+    # each unordered pair of the 11 face lattices is rank-tested once: 15
+    # of the 30 ordered spanning pairs run `link_difference`, and
+    # `int_rank` runs on 66 of 121 lattice pairs (55 + 11) and 21 of 36
+    # cell pairs. `sum_lattices` runs for the 6 deficient lattice pairs
+    # not nested in one side and the 4 contributing cell pairs (27 when
+    # every unordered cell pair took the Hermite form of its sum and the
+    # displacement test was an LP). The overlay of h has equal cells but
+    # is another object, and counts the same
     h = q3_body_hypersurface()
     overlay = normalize_weighted(3, h.weighted_cells())
     assert overlay is not h and overlay.cells == h.cells
     for x in (h, overlay):
         calls = []
-        for name in ("transverse_links", "int_rank", "sum_lattices", "point_in_sum"):
+        for name in ("link_difference", "int_rank", "sum_lattices"):
             counting(monkeypatch, stable, name, calls)
+        counting(monkeypatch, polyhedra, "feasible_point", calls)
         report = stable_intersection_report(x, h)
         monkeypatch.undo()
         assert len(_spanning_pairs(x, h)) == 30
-        assert calls.count("transverse_links") == 15 and calls.count("point_in_sum") == 24
-        assert calls.count("int_rank") == 66 and calls.count("sum_lattices") == 27
+        assert calls.count("link_difference") == 15 and calls.count("feasible_point") == 0
+        assert calls.count("int_rank") == 87 and calls.count("sum_lattices") == 10
         assert len(report.result.cells) == 4
 
 
@@ -558,31 +582,48 @@ def test_self_product_certificate_and_contributions_are_pinned():
 
 def test_fan_product_meeting_in_points_runs_no_pair_lp(monkeypatch):
     # (h . h) . h is a product of fans whose spanning pairs meet in the
-    # origin, which `transverse_links` takes as its point: every LP of the
-    # run is a displacement test in the 3 ambient coordinates, none is a
-    # pair LP in the 4 homogenized ones
+    # origin, which `link_difference` takes as its point, so no pair LP
+    # runs in the 4 homogenized coordinates; the displacement tests are
+    # signs of g·v, so no LP runs in the 3 ambient ones either
     h = q3_body_hypersurface()
     hh = stable_intersection(h, h)
     calls = []
     lp = polyhedra.feasible_point
     monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a: calls.append(n) or lp(n, *a))
     assert stable_intersection_report(hh, h).result.cells == (Polyhedron.point((0, 0, 0)),)
-    assert calls and set(calls) == {3}
+    assert calls == []
 
 
 def test_simplex_volume_counts_in_q5(monkeypatch):
     # the Q^5 simplex volume runs h . h, a self-product, then h^2 . h,
     # h^3 . h and h^4 . h, the last a product of fans meeting in points;
-    # deciding every ordered pair on its own, with a pair LP each, took
-    # 7,296 `int_rank`, 3,630 `sum_lattices`, 615 `transverse_links` and
-    # 1,065 LPs
+    # every LP is a pair LP, and the lattice sum is taken only for a
+    # contributing pair. Deciding every ordered pair on its own, with a
+    # pair LP each, took 7,296 `int_rank`, 3,630 `sum_lattices`, 615 pair
+    # tests and 1,065 LPs; with the swapped pairs but a displacement LP
+    # per pair and a lattice sum per unordered spanning pair, 5,700,
+    # 3,015, 510 and 930
     calls = []
-    for name in ("int_rank", "sum_lattices", "transverse_links"):
+    for name in ("int_rank", "sum_lattices", "link_difference"):
         counting(monkeypatch, stable, name, calls)
     counting(monkeypatch, polyhedra, "feasible_point", calls)
     assert normalized_volume(standard_simplex(5)) == 1
     counts = {name: calls.count(name) for name in dict.fromkeys(calls)}
-    assert counts == {"int_rank": 5700, "sum_lattices": 3015, "transverse_links": 510, "feasible_point": 930}
+    assert counts == {"int_rank": 6435, "sum_lattices": 2322, "link_difference": 510, "feasible_point": 345}
+
+
+def test_volumes_in_q3_run_no_lp(monkeypatch):
+    # a Q^3 volume and a three-body Q^3 mixed volume multiply fans whose
+    # spanning pairs meet in a point or whose hulls meet in a line, so
+    # every pair is decided by the origin or by signs, and every
+    # displacement test by the signs of g·v
+    calls = []
+    counting(monkeypatch, polyhedra, "feasible_point", calls)
+    p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
+    q = polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)])
+    assert normalized_volume(p) == 4
+    assert mixed_volume([p, q, standard_simplex(3)]) == 17
+    assert calls == []
 
 
 def count_calls(monkeypatch, name):
