@@ -270,13 +270,16 @@ def intersect_lattices(a: LatticeSubgroup, b: LatticeSubgroup) -> LatticeSubgrou
 def lattice_index(ambient: LatticeSubgroup, sub: LatticeSubgroup):
     """Index [ambient : sub] as a Fraction, or None when it is infinite.
 
-    Raises SubgroupError if sub is not contained in ambient. Lattices of
-    the same span have Hermite bases with the same pivot columns, so the
-    index is the product of sub's pivots over the product of ambient's.
+    Raises SubgroupError if sub is not contained in ambient; every integer
+    lattice lies in Z^n, so the standard lattice takes no containment
+    test. Lattices of the same span have Hermite bases with the same pivot
+    columns, so the index is the product of sub's pivots over the product
+    of ambient's.
     """
     if ambient.ambient_rank != sub.ambient_rank:
         raise ValueError("ambient ranks differ")
-    if sum_lattices(ambient, sub) != ambient:
+    standard = ambient.generators == identity_matrix(ambient.ambient_rank)
+    if not standard and sum_lattices(ambient, sub) != ambient:
         raise SubgroupError("generators do not lie in the ambient subgroup")
     if sub.rank < ambient.rank:
         return None

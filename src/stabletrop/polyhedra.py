@@ -12,18 +12,23 @@ generators (`_gens`), beside lazily computed canonical representations:
   equality rows (c_1, ..., c_n, d) meaning c.x = d, the Hermite basis of
   the saturated lattice of all valid integer equalities.
 
-Both directions of conversion run the same cone double description core
-`_dd`, once on the homogenization and once on the dual wedge of valid
-inequalities, and `_dd` returns its cone in canonical form: the
-lineality as the Hermite basis of its saturated lattice, the extreme
-rays reduced modulo it in integers (`reduce_modulo`, with a positive
-factor on the ray, so a ray keeps its sign), primitive and sorted. A
-homogenized point (t*p, t) with t > 0 reduces to a positive multiple of
-(t*q, t), q being p reduced modulo the lineality, so `vrep` reads the
-points off as Fraction(x, t), and `hrep` only drops the row 0 <= 1.
-Ray adjacency inside `_dd` uses the exact algebraic test (rank of the
-common tight set), not a combinatorial heuristic, so the output rays
-are exactly the extreme rays.
+Conversions run the cone double description core `_dd`: `vrep` on the
+homogenization of the rows, and `hrep` of a polyhedron built from
+generators on the dual wedge of valid inequalities. `_dd` returns its
+cone in canonical form: the lineality as the Hermite basis of its
+saturated lattice, the extreme rays reduced modulo it in integers
+(`reduce_modulo`, with a positive factor on the ray, so a ray keeps its
+sign), primitive and sorted. A homogenized point (t*p, t) with t > 0
+reduces to a positive multiple of (t*q, t), q being p reduced modulo the
+lineality, so `vrep` reads the points off as Fraction(x, t), and `hrep`
+only drops the row 0 <= 1. Ray adjacency inside `_dd` uses the exact
+algebraic test (rank of the common tight set), not a combinatorial
+heuristic, so the output rays are exactly the extreme rays. A polyhedron
+built from rows runs no second `_dd`: once its V-rep is known, `hrep`
+reads the canonical H-rep off the rows it was given (`_facet_rows`), the
+equality rows being the integer kernel of the homogenized generators and
+the facet rows those of the given rows whose tight generators have the
+rank of a facet, in the same canonical form.
 
 Every reader of rows goes through `_constraints()`: the rows as given,
 else the canonical H-rep. `_generators()` is its V-side twin, read by
@@ -45,7 +50,9 @@ V-rep since a face keeps P's lineality, with no conversion. `facets`
 takes one row's set each, `minimal_face_at` intersects the sets of the
 rows tight at a point, `all_faces` closes the full set under the row
 sets, and `is_face_of` looks a polyhedron up among those faces. `dim` is
-read off the V side, so a face's H-rep is computed only when asked for.
+the rank of the V side's direction vectors (`int_rank`), so neither a
+face's H-rep nor its saturated direction lattice is computed until asked
+for.
 
 Rows, rays and lineality vectors are made primitive integer tuples at
 the door (`from_hrep`, `from_vrep`), and `hrep` homogenizes each point
@@ -71,6 +78,7 @@ from stabletrop.lattices import (
     saturation,
     vec_dot,
     vec_is_zero,
+    vec_sub,
 )
 from stabletrop.linprog import feasible_point
 
@@ -267,12 +275,16 @@ class Polyhedron:
 
     def hrep(self):
         """Canonical (ineq_rows, eq_rows); rows are (n+1)-tuples (a..., b),
-        and the one row 0 <= -1 when empty."""
+        and the one row 0 <= -1 when empty. Built from rows, it is read
+        off them (`_facet_rows`); built from generators, it is the dual
+        `_dd`."""
         if self._hrep is None:
             n = self.ambient_dim
             points, rays, lin = self._generators()
             if not points:
                 self._hrep = ((tuple(0 for _ in range(n)) + (-1,),), ())
+            elif self._rows is not None:
+                self._hrep = self._facet_rows()
             else:
                 # dual wedge in (a, b): a.p <= b, a.r <= 0, a.l == 0
                 eqn = [l + (0,) for l in lin]
@@ -282,6 +294,43 @@ class Polyhedron:
                 # drop the trivial row 0 <= 1
                 self._hrep = (tuple(r for r in drays if not vec_is_zero(r[:n])), eq_rows)
         return self._hrep
+
+    def _homogenized(self):
+        """The canonical points and rays homogenized to integer rows,
+        (p, -1) made primitive and (r, 0), so that a row (a, b) is tight
+        on a generator when their dot is 0."""
+        points, rays, _ = self.vrep()
+        return [rational_to_primitive(p + (-1,)) for p in points] + [r + (0,) for r in rays]
+
+    def _facet_rows(self):
+        """The canonical H-rep of a nonempty polyhedron built from rows,
+        read off its rows and its canonical generators with no `_dd`. The
+        equality rows are the Hermite basis of the integer kernel of the
+        homogenized generators and lineality, the lattice `_dd` saturates
+        to. A given row is a facet row when its tight generators and the
+        lineality have rank one less than the homogenized cone, n + 1
+        minus the equality rows; each is reduced modulo the equality rows
+        and made primitive, and a row whose normal part reduces to zero
+        (the face t = 0 at infinity) is dropped, as `hrep` drops 0 <= 1.
+        The tight sets are the incidence (`_incidence`), cached with it."""
+        n = self.ambient_dim
+        gens = self._homogenized()
+        lin = [l + (0,) for l in self.vrep()[2]]
+        eq_rows = tuple(integer_kernel(gens + lin))
+        rank = n - len(eq_rows)
+        tight = {}
+        for r in dict.fromkeys(self._rows[0]):
+            t = frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0)
+            tight.setdefault(t, r)
+        facets = {}
+        for t, r in tight.items():
+            if int_rank([gens[i] for i in t] + lin) == rank:
+                row = primitive(reduce_modulo(eq_rows, [r])[0])
+                if not vec_is_zero(row[:n]):
+                    facets[row] = t
+        rows = tuple(sorted(facets))
+        self._inc = tuple(facets[r] for r in rows)
+        return rows, eq_rows
 
     @property
     def ineq_rows(self):
@@ -295,8 +344,14 @@ class Polyhedron:
 
     @property
     def dim(self):
+        """The rank of the direction vectors (`int_rank`), or of the
+        direction lattice when it is already cached; -1 when empty. No
+        saturation runs until a caller asks for the lattice."""
         if self._dim is None:
-            self._dim = -1 if self.is_empty else self.direction_lattice().rank
+            if self.is_empty:
+                self._dim = -1
+            else:
+                self._dim = self._dirlat.rank if self._dirlat is not None else int_rank(self._directions())
         return self._dim
 
     def key(self):
@@ -354,15 +409,17 @@ class Polyhedron:
         _, rays, lin = self.vrep()
         return not rays and not lin
 
+    def _directions(self):
+        """Integer vectors spanning the direction space of the affine
+        hull: the rays, the lineality, and each point minus the first."""
+        points, rays, lin = self.vrep()
+        p0 = points[0]
+        return list(rays) + list(lin) + [rational_to_primitive(vec_sub(p, p0)) for p in points[1:]]
+
     def direction_lattice(self) -> LatticeSubgroup:
         """Saturated lattice of the direction space of the affine hull."""
         if self._dirlat is None:
-            points, rays, lin = self.vrep()
-            vecs = list(rays) + list(lin)
-            p0 = points[0]
-            for p in points[1:]:
-                vecs.append(rational_to_primitive(tuple(a - b for a, b in zip(p, p0))))
-            self._dirlat = saturation(self.ambient_dim, vecs)
+            self._dirlat = saturation(self.ambient_dim, self._directions())
         return self._dirlat
 
     def lineality_lattice(self) -> LatticeSubgroup:
@@ -422,11 +479,10 @@ class Polyhedron:
         indices of P's canonical generators (points, then rays) tight on
         it; computed once, in integers, on the homogenized points."""
         if self._inc is None:
-            points, rays, _ = self.vrep()
-            gens = [rational_to_primitive(p + (-1,)) for p in points] + [r + (0,) for r in rays]
-            self._inc = tuple(
-                frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0) for r in self.hrep()[0]
-            )
+            rows = self.hrep()[0]
+            if self._inc is None:  # a row-built H-rep sets it on the way
+                gens = self._homogenized()
+                self._inc = tuple(frozenset(i for i, g in enumerate(gens) if vec_dot(r, g) == 0) for r in rows)
         return self._inc
 
     def _face(self, s):

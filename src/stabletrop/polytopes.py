@@ -4,8 +4,9 @@ Min-plus convention throughout: the hypersurface of a polytope P is the
 codimension-one part of its normal fan, where the normal cone of a face
 F collects the weight vectors minimized on F. Each edge contributes its
 normal cone, weighted by the lattice length of the edge. A point has an
-empty edge set, so its hypersurface is the zero cycle. Edges and their
-cones are read off the vertex-facet incidences, with no conversion.
+empty edge set, so its hypersurface is the zero cycle. Edges and both
+representations of their cones are read off the vertex-facet
+incidences, with no conversion.
 
 The normalization makes the volume of the unit simplex 1, so the weight
 of the origin in the n-th stable power of the hypersurface is n! times
@@ -49,7 +50,7 @@ class RationalPolytope:
     @cached_property
     def polyhedron(self) -> Polyhedron:
         """The polytope as a Polyhedron, built once, its V-rep the stored
-        canonical vertices."""
+        canonical vertices; `polytope` installs the hull it converted."""
         poly = Polyhedron.from_vrep(self.ambient_dim, list(self.vertices))
         poly._vrep = (self.vertices, (), ())
         return poly
@@ -92,7 +93,10 @@ def polytope(ambient_dim: int, points) -> RationalPolytope:
     verts, rays, lin = hull.vrep()
     if rays or lin:
         raise ValidationError("point set is unbounded")
-    return RationalPolytope(ambient_dim, verts)
+    rp = RationalPolytope(ambient_dim, verts)
+    # the hull has converted both ways: hand it over as the cached polyhedron
+    rp.__dict__["polyhedron"] = hull
+    return rp
 
 
 def from_polyhedron(p: Polyhedron) -> RationalPolytope:
@@ -120,12 +124,17 @@ def cube(n: int) -> RationalPolytope:
 
 def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
     """Codimension-one normal cones of p, weighted by edge lattice lengths,
-    read off p's canonical H-rep with no conversion per cone. With T(v)
-    the facet rows tight at a vertex v, the transpose of the body's
-    incidence (`Polyhedron._incidence`), [u, v] is an edge when no third
-    vertex w has T(u) ∩ T(v) ⊆ T(w) (Fukuda–Prodon); its cone has the
-    extreme rays -a for (a, b) in T(u) ∩ T(v) and the span of the equality
-    normals as lineality, written in the canonical form `_dd` returns."""
+    read off p's canonical H-rep and its incidence with no conversion and
+    no dot product per cone. With T(x) the facet rows tight at a vertex x,
+    the transpose of the body's incidence (`Polyhedron._incidence`), and
+    C = T(u) ∩ T(v), [u, v] is an edge when no third vertex x has
+    C ⊆ T(x) (Fukuda–Prodon). Its cone has the extreme rays -a for (a, b)
+    in C and the span of the equality normals as lineality, and both its
+    representations are written in the canonical form `_dd` returns: the
+    one equality row is (v - u, 0) made primitive, leading entry positive,
+    and the faces of p covering the edge are the inclusion-maximal sets
+    C ∩ T(x), each giving the facet row (u - x, 0) of any of its vertices
+    x, reduced modulo the equality row and made primitive."""
     n = p.ambient_dim
     poly = p.polyhedron
     verts = poly.vrep()[0]
@@ -140,14 +149,22 @@ def tropical_hypersurface(p: RationalPolytope) -> TropicalCycle:
     for j, v in enumerate(verts):
         for i, u in enumerate(verts[:j]):
             common = tight[i] & tight[j]
-            if any(common <= t for w, t in enumerate(tight) if w != i and w != j):
+            sides = {}
+            for w, t in enumerate(tight):
+                if w != i and w != j:
+                    sides.setdefault(common & t, verts[w])
+            if common in sides:
                 continue
             rays = reduce_modulo(lin, [tuple(-a for a in ineqs[r][:n]) for r in common])
-            cone = Polyhedron(n)
-            cone._vrep = ((origin,), tuple(sorted({primitive(r) for r in rays})), lin)
             d = vec_sub(v, u)
             step = rational_to_primitive(d)
             c = next(c for c, a in enumerate(step) if a)
+            eq = (step if step[c] > 0 else tuple(-a for a in step)) + (0,)
+            covers = [x for s, x in sides.items() if not any(s < o for o in sides)]
+            rows = reduce_modulo([eq], [rational_to_primitive(vec_sub(u, x)) + (0,) for x in covers])
+            cone = Polyhedron(n)
+            cone._vrep = ((origin,), tuple(sorted({primitive(r) for r in rays})), lin)
+            cone._hrep = (tuple(sorted({primitive(r) for r in rows})), (eq,))
             cells.append((cone, d[c] / step[c]))
     return cycle(n, cells)
 

@@ -106,9 +106,13 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     equal cells, both sides have the same lattices and the sum does not
     depend on the order, so each unordered pair is tested once; the
     spans are deduplicated anyway (`pick_generic_vector`), so the
-    certificate is the same."""
+    certificate is the same. A face shared by several cells is one face
+    (`key`): the faces are deduplicated in order of first appearance
+    before any lattice is taken, so each distinct face's lattice is
+    computed once and the lattices keep their order."""
     n = x.ambient_dim
-    face_lattices = lambda z: list(dict.fromkeys(f.direction_lattice() for c in z.cells for f in c.all_faces()))
+    faces = lambda z: dict.fromkeys(f for c in z.cells for f in c.all_faces())
+    face_lattices = lambda z: list(dict.fromkeys(f.direction_lattice() for f in faces(z)))
     same = x.cells == y.cells
     lx = face_lattices(x)
     ly = lx if same else face_lattices(y)

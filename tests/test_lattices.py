@@ -35,6 +35,7 @@ from oracles import (
     solve_integer,
     solve_rational,
 )
+from stabletrop import lattices
 from stabletrop.algebra import _null_space
 from stabletrop.lattices import (
     LatticeSubgroup,
@@ -352,6 +353,24 @@ def test_lattice_index_rejects_non_subgroup():
     rect = LatticeSubgroup.from_vectors(2, [(2, 0), (0, 2)])
     with pytest.raises(SubgroupError):
         lattice_index(rect, standard_lattice(2))
+
+
+def test_lattice_index_in_the_standard_lattice_takes_no_containment_test(monkeypatch):
+    # every integer lattice lies in Z^n, so the index in the standard
+    # lattice takes no Hermite form of the sum (one per call before);
+    # any other ambient lattice still takes it, and still refuses a
+    # lattice it does not contain
+    calls = []
+    f = lattices.sum_lattices
+    monkeypatch.setattr(lattices, "sum_lattices", lambda a, b: calls.append(1) or f(a, b))
+    rect = LatticeSubgroup.from_vectors(2, [(2, 0), (0, 3)])
+    assert lattice_index(standard_lattice(2), rect) == Fraction(6)
+    assert lattice_index(standard_lattice(3), zero_subgroup(3)) is None
+    assert calls == []
+    assert lattice_index(rect, LatticeSubgroup.from_vectors(2, [(4, 0), (0, 3)])) == Fraction(2)
+    with pytest.raises(SubgroupError):
+        lattice_index(rect, standard_lattice(2))
+    assert len(calls) == 2
 
 
 def index_or_error(index, ambient, sub):

@@ -320,6 +320,52 @@ def test_canonical_forms_match_fraction_reducer(data):
     assert h.vrep() == cell.vrep()
 
 
+@st.composite
+def row_systems(draw, n):
+    """(cell, ineq rows, eq rows, facet rows, eq basis): a V-drawn cell
+    with points, rays and lineality, given by its facet rows scaled and
+    shifted along its equalities, one of them repeated, a redundant row,
+    and each equality either as a row of another basis or as a pair of
+    inequalities; sometimes a row that contradicts the others makes it
+    empty."""
+    pts = draw(st.lists(fvec(n), min_size=1, max_size=4))
+    rays = draw(st.lists(ivec(n), max_size=2))
+    lin = draw(st.lists(ivec(n), max_size=2))
+    cell = Polyhedron.from_vrep(n, pts, rays, lin)
+    ineqs, eqs = cell.hrep()
+    facets = draw(scaled_and_shifted(ineqs, eqs, n + 1))
+    basis = draw(non_saturated_basis(eqs, n + 1))
+    rows = list(facets)
+    if rows:
+        rows.append(draw(st.sampled_from(rows)))
+    if len(rows) >= 2:
+        rows.append(tuple(a + b for a, b in zip(rows[0], rows[1]))[:n] + (rows[0][n] + rows[1][n] + 1,))
+    pairs = [e for e in basis if draw(st.booleans())]
+    rows += pairs + [tuple(-a for a in e) for e in pairs]
+    if draw(st.integers(0, 4)) == 0:
+        a, b = (rows[0][:n], rows[0][n]) if rows else ((0,) * n, 0)
+        rows.append(tuple(-x for x in a) + (-b - 1,))
+        cell = Polyhedron.empty(n)
+    return cell, rows, [e for e in basis if e not in pairs], facets, basis
+
+
+@given(st.data())
+def test_row_built_hrep_is_read_off_the_rows(data):
+    # built from rows, the canonical H-rep is read off the rows and the
+    # canonical generators with no dual _dd: it is the H-rep the dual _dd
+    # gives a copy built from the canonical V-rep, and that of the drawn
+    # cell and of the Fraction reducer on its facet rows; random rows,
+    # halfspaces and affine subspaces, often empty, agree with the copy too
+    n = data.draw(st.integers(1, 4))
+    cell, rows, eq_rows, facets, basis = data.draw(row_systems(n))
+    p = Polyhedron.from_hrep(n, [(r[:n], r[n]) for r in rows], [(e[:n], e[n]) for e in eq_rows])
+    assert p.hrep() == cell.hrep()
+    assert cell.is_empty or p.hrep() == canonical_hrep(n, facets, basis)
+    for q in (p, data.draw(h_cells(n))):
+        copy = Polyhedron.from_vrep(n, *q.vrep())
+        assert q.hrep() == copy.hrep() and q._incidence() == copy._incidence()
+
+
 # --------------------------------------------------------------- operations
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_dim_volume, hrep_hypersurface, lattice_length, mixed_volume_oracle
+from oracles import canonical_hrep, full_dim_volume, hrep_hypersurface, lattice_length, mixed_volume_oracle
 from stabletrop import polyhedra
 from stabletrop.cycles import cycle, cycles_equal, is_balanced, scalar, zero_cycle
 from stabletrop.errors import DimensionError, ValidationError
@@ -139,11 +139,12 @@ def polytopes_nd(draw, n, max_pts=6):
 
 
 def test_hypersurface_cones_need_no_conversion(monkeypatch):
-    # the cones are read off the body's canonical H-rep: the one _dd call
-    # is the body's H-rep, not one per cone (8 when each cone was built
-    # from H-rows and converted), its V-rep is the polytope's stored
-    # vertices (2 calls when it was converted again), and the cells' keys
-    # and V-reps are already canonical
+    # the cones are read off the body's canonical H-rep and incidence:
+    # `polytope` hands over the hull it converted both ways, so no _dd
+    # runs (1 when the polytope rebuilt its polyhedron from the stored
+    # vertices and converted its H-rep again, 8 when each cone was built
+    # from H-rows and converted), and the cells' keys and both their
+    # representations are already canonical
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
     calls = []
     dd = polyhedra._dd
@@ -151,10 +152,10 @@ def test_hypersurface_cones_need_no_conversion(monkeypatch):
     monkeypatch.setattr(Polyhedron, "from_hrep", lambda *a, **k: pytest.fail("from_hrep"))
     monkeypatch.setattr(Polyhedron, "all_faces", lambda self: pytest.fail("all_faces"))
     t = tropical_hypersurface(p)
-    assert len(t.cells) == 6 and len(calls) == 1
+    assert len(t.cells) == 6 and len(calls) == 0
     for c in t.cells:
-        c.key(), c.vrep()
-    assert len(calls) == 1
+        c.key(), c.vrep(), c.hrep()
+    assert len(calls) == 0
 
 
 def test_polytope_queries_convert_once(monkeypatch):
@@ -199,6 +200,38 @@ def test_hypersurface_matches_hrep_construction(p):
     t, ref = tropical_hypersurface(p), hrep_hypersurface(p)
     assert [c.key() for c in t.cells] == [c.key() for c in ref.cells]
     assert t.multiplicities == ref.multiplicities
+
+
+@st.composite
+def bodies_of_every_dimension(draw):
+    """Lattice polytopes of each dimension 1..n in Q^2-Q^4: a base point,
+    the base plus each of d drawn directions, and integer combinations of
+    them, so the body has the rank of the directions, and a body of
+    d < n lies in a proper affine subspace."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=n))
+    base = [draw(small_coord) for _ in range(n)]
+    dirs = [[draw(small_coord) for _ in range(n)] for _ in range(d)]
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    coeffs = st.lists(st.integers(min_value=-1, max_value=2), min_size=d, max_size=d)
+    pts = [
+        tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in [[0] * d] + unit + draw(st.lists(coeffs, max_size=3))
+    ]
+    return polytope(n, pts)
+
+
+@given(bodies_of_every_dimension())
+@settings(max_examples=80)
+def test_hypersurface_cones_read_off_their_canonical_hrep(p):
+    # each cone's H-rep, read off the body's incidence, is the one the
+    # dual _dd gives a copy built from the cone's canonical V-rep, is
+    # canonical by the Fraction reducer of the oracles, and has that
+    # copy's incidence
+    for c in tropical_hypersurface(p).cells:
+        copy = Polyhedron.from_vrep(p.ambient_dim, *c.vrep())
+        assert c.hrep() == copy.hrep() == canonical_hrep(p.ambient_dim, *c.hrep())
+        assert c.vrep() == copy.vrep() and c._incidence() == copy._incidence()
 
 
 @given(polytopes_nd(2))

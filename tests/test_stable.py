@@ -499,9 +499,10 @@ def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
 def test_engine_converts_only_contributing_intersections(monkeypatch):
     # with the cells' representations computed beforehand, the engine
     # converts nothing to decide a pair: the _dd calls are the V-rep of
-    # each contributing intersection (its key) and the H-rep that the
-    # overlay groups it by, 2 for each of the 6 result cells (converting
-    # every spanning pair's intersection took 41 calls)
+    # each of the 6 result cells (its key), and the H-rep that the overlay
+    # groups it by is read off its rows (12 calls when that H-rep was a
+    # second conversion; converting every spanning pair's intersection
+    # took 41 calls)
     x = tropical_hypersurface(polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)]))
     y = tropical_hypersurface(polytope(3, [(0, 2, 3), (1, 1, 1), (2, 0, 2), (3, 2, 0)]))
     for c in x.cells + y.cells:
@@ -511,7 +512,7 @@ def test_engine_converts_only_contributing_intersections(monkeypatch):
     monkeypatch.setattr(polyhedra, "_dd", lambda *a: calls.append(a[0]) or dd(*a))
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 6
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch):
@@ -526,6 +527,26 @@ def test_displacement_vector_takes_a_hermite_form_per_deficient_pair(monkeypatch
     monkeypatch.setattr(stable, "sum_lattices", lambda a, b: calls.append(1) or hnf(a, b))
     assert displacement_vector(x, y) == GenericVector((1, 3, 9), 3, 29)
     assert len(calls) == 16
+
+
+def test_faces_are_walked_once(monkeypatch):
+    # each side's 6 cells have 24 faces but 11 distinct ones: dim is the
+    # rank of the direction vectors, so sorting the faces by dimension
+    # takes no saturation (two Hermite forms per face before); the
+    # hypersurface cells carry both representations, so their faces take
+    # no _dd; and displacement_vector takes one direction lattice per
+    # distinct face, 22 for the pair (48, one per face, before)
+    x, y = hypersurface_pair()
+    for c in y.cells:
+        c.vrep(), c.hrep()
+    calls = []
+    counting(monkeypatch, polyhedra, "_dd", calls)
+    counting(monkeypatch, polyhedra, "saturation", calls)
+    faces = [[f for c in z.cells for f in c.all_faces()] for z in (x, y)]
+    assert [(len(fs), len(set(fs))) for fs in faces] == [(24, 11), (24, 11)]
+    assert calls == []
+    assert displacement_vector(x, y) == GenericVector((1, 3, 9), 3, 29)
+    assert calls == ["saturation"] * 22
 
 
 def q3_body_hypersurface():
