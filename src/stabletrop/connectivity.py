@@ -29,18 +29,19 @@ def facet_graph(x: TropicalCycle):
     """Per-hull overlay of x plus the adjacency lists of its facets: two
     facets are adjacent when they meet in dimension one less. A pair
     whose affine hulls cannot meet in that dimension is skipped before
-    its intersection is converted: the stacked equality normals of two
-    d-cells have rank n - 2d + rank(N_a + N_b), so they exceed n - d + 1,
-    and aff a ∩ aff b has dimension below d - 1, exactly when the
-    direction lattices sum to rank more than d + 1 (`int_rank` on the
-    cells' cached lattices)."""
-    refined = normalize_weighted(x.ambient_dim, x.weighted_cells())
+    its intersection is converted: the stacked equality rows of two
+    d-cells, which the overlay has already computed to group them by
+    hull, have rank n - 2d + rank(N_a + N_b) when the hulls meet and one
+    more when they do not, so aff a ∩ aff b has dimension d - 1 or more
+    only when that rank is at most n - d + 1 (`int_rank`)."""
+    n = x.ambient_dim
+    refined = normalize_weighted(n, x.weighted_cells())
     d = refined.dim
     adj = [[] for _ in refined.cells]
-    lats = [c.direction_lattice().generators for c in refined.cells]
+    eqs = [c.hrep()[1] for c in refined.cells]
     for i, a in enumerate(refined.cells):
         for j in range(i + 1, len(refined.cells)):
-            if d > 0 and int_rank(lats[i] + lats[j]) <= d + 1 and a.intersect(refined.cells[j]).dim == d - 1:
+            if d > 0 and int_rank(eqs[i] + eqs[j]) <= n - d + 1 and a.intersect(refined.cells[j]).dim == d - 1:
                 adj[i].append(j)
                 adj[j].append(i)
     return refined, adj
@@ -81,17 +82,17 @@ def is_connected_through_codim1(x: TropicalCycle) -> bool:
 
 def supports_meet_only_at_origin(a: TropicalCycle, b: TropicalCycle) -> bool:
     """Whether every overlap of cells of a and b is exactly the origin.
-    Two cones whose direction lattices sum to rank dim a + dim b have
-    spans meeting only at 0, so they meet in the origin alone and are
-    settled with no conversion (`int_rank`, as in `facet_graph`)."""
+    The spans of two cones meet only at 0 exactly when their stacked
+    equality rows have rank n, since those rows span the orthogonal
+    complement of each span; such cones meet in the origin alone and are
+    settled with no conversion of their intersection (`int_rank`, as in
+    `facet_graph`)."""
     n = a.ambient_dim
     origin = Polyhedron.point(tuple(0 for _ in range(n)))
     for ca in a.cells:
         for cb in b.cells:
-            if ca.is_cone and cb.is_cone:
-                la, lb = ca.direction_lattice(), cb.direction_lattice()
-                if int_rank(la.generators + lb.generators) == la.rank + lb.rank:
-                    continue
+            if ca.is_cone and cb.is_cone and int_rank(ca.hrep()[1] + cb.hrep()[1]) == n:
+                continue
             w = ca.intersect(cb)
             if w.is_empty:
                 continue

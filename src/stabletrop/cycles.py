@@ -9,10 +9,11 @@ own (`normalize_weighted`), `is_balanced` overlays the facets of one
 hull, weighted by their normal vectors, and only `pushforward` overlays
 cells of several hulls at once, its image cells. The ridge index
 `_ridge_index` maps each ridge of a cell list to the cells having it as a
-facet, with the facet rows that sign their normals, for
-`algebra.build_hypersurface_basis`. Cycles are identified up to
-refinement: `cycles_equal` tests semantic equality, the dataclass
-equality is representation equality of the canonicalized cell lists.
+facet, with the facet rows that sign their normals, so that
+`is_balanced` and `algebra.build_hypersurface_basis` walk each ridge
+once. Cycles are identified up to refinement: `cycles_equal` tests
+semantic equality, the dataclass equality is representation equality of
+the canonicalized cell lists.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def cycles_equal(x: TropicalCycle, y: TropicalCycle):
 
 def _ridge_index(cells):
     """Ridge key -> (ridge, (cell index, facet row) of each cell having
-    it as a facet)."""
+    it as a facet), in order of first appearance; a caller takes each
+    ridge's lattice and hull once, however many cells share it."""
     ridges = {}
     for idx, c in enumerate(cells):
         for row, f in zip(c.hrep()[0], c.facets()):
@@ -211,16 +213,20 @@ def is_balanced(x: TropicalCycle):
 
     Each facet of a cell carries the cell's weight times its primitive
     normal in the quotient lattice by the facet directions, signed by its
-    facet row, and the facets of one hull are overlaid. Refining a cell adds inner ridges
-    whose two normals cancel, so no cell needs refining. Returns (flag,
-    failures): the (ridge, defect) pieces whose sum does not vanish.
+    facet row, and the facets of one hull are overlaid. The ridges are
+    walked once each (`_ridge_index`): a ridge takes one quotient map and
+    one hull key for all the cells having it as a facet. Refining a cell
+    adds inner ridges whose two normals cancel, so no cell needs
+    refining. Returns (flag, failures): the (ridge, defect) pieces whose
+    sum does not vanish, sorted by key.
     """
     hulls = {}
-    for c, m in x.weighted_cells():
-        for row, f in zip(c.hrep()[0], c.facets()):
-            qmat = quotient_matrix(f.direction_lattice())
-            normal = _normal_in_quotient(qmat, c, row)
-            hulls.setdefault(f.hrep()[1], []).append((f, tuple(m * a for a in normal)))
+    for f, members in _ridge_index(x.cells).values():
+        qmat = quotient_matrix(f.direction_lattice())
+        facets = hulls.setdefault(f.hrep()[1], [])
+        for idx, row in members:
+            normal = _normal_in_quotient(qmat, x.cells[idx], row)
+            facets.append((f, tuple(x.multiplicities[idx] * a for a in normal)))
     failures = []
     for facets in hulls.values():
         failures.extend(_overlay(facets))

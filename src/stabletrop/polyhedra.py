@@ -47,8 +47,7 @@ canonical generators (points, then rays) tight on it, computed once in
 integers. A face is the set of generators it holds, and `_face` returns
 the sub-tuple of P's canonical V-rep, which is the face's canonical
 V-rep since a face keeps P's lineality, with no conversion. `facets`
-takes one row's set each, `minimal_face_at` intersects the sets of the
-rows tight at a point, `all_faces` closes the full set under the row
+takes one row's set each, `all_faces` closes the full set under the row
 sets, and `is_face_of` looks a polyhedron up among those faces. `dim` is
 the rank of the V side's direction vectors (`int_rank`), so neither a
 face's H-rep nor its saturated direction lattice is computed until asked
@@ -57,10 +56,11 @@ for.
 Rows, rays and lineality vectors are made primitive integer tuples at
 the door (`from_hrep`, `from_vrep`), and `hrep` homogenizes each point
 once, so `_dd` and `intersect` convert nothing. The engine's pair test
-`link_difference` reads the canonical rows of both cells: one integer
+`link_difference` reads the canonical rows of both cells: the echelon
+of their equality normals says whether the pair spans, one integer
 elimination gives the rows of C_P - C_Q, the difference of their links,
-and an LP runs only for a pair that is not two cones meeting in a point
-or along a line."""
+and an LP runs only for a spanning pair that is not two cones meeting in
+a point or along a line."""
 
 from __future__ import annotations
 
@@ -500,20 +500,6 @@ class Polyhedron:
         face._vrep = (pts, tuple(rays[i - k] for i in sorted(s) if i >= k), lin)
         return face
 
-    def minimal_face_at(self, w):
-        """Smallest face containing the point w of P: the generators tight
-        on every facet row tight at w."""
-        if not self.contains(w):
-            raise ValidationError("point is not in the polyhedron")
-        w = tuple(Fraction(a) for a in w)
-        n = self.ambient_dim
-        points, rays, _ = self.vrep()
-        s = frozenset(range(len(points) + len(rays)))
-        for r, t in zip(self.hrep()[0], self._incidence()):
-            if vec_dot(r[:n], w) == r[n]:
-                s &= t
-        return self._face(s)
-
     def facets(self):
         """Codimension-one faces, one per canonical facet row, in row order."""
         return [self._face(t) for t in self._incidence()]
@@ -547,16 +533,21 @@ class Polyhedron:
 
 def link_difference(p, q):
     """The integer rows g with C_P - C_Q = {v : g·v >= 0}, C_P and C_Q the
-    links of P and Q along relint(P ∩ Q), or None unless P ∩ Q has the
-    dimension of A = aff P ∩ aff Q. This holds for any spanning pair: its
-    equality normals are then independent, so P's equalities c·y = 0 and
-    Q's c·y = c·v have a solution y for every v, and a row tight along
-    relint(P ∩ Q), being constant on A, is there a linear function of v.
-    One Bareiss echelon of the equality rows beside their v-coefficients,
-    (c | 0) for P's and (c | c) for Q's, and one reduction of the
-    inequality rows, (a | 0) and (a | a), read it off: a reduced row whose
-    first n entries are zero is constant on A, and the last n entries of
-    each such row tight at the pair's point are its g; (Q, P) gives -g.
+    links of P and Q along relint(P ∩ Q), or None unless the pair spans
+    (N_P + N_Q has rank n) and P ∩ Q has the dimension of
+    A = aff P ∩ aff Q. One Bareiss echelon of the equality rows beside
+    their v-coefficients, (c | 0) for P's and (c | c) for Q's, decides
+    the span first: it has as many rows as P and Q have equality rows,
+    and as many with a pivot in the first n columns as the rank of the
+    stacked normals. Every row has one exactly when the normals are
+    independent, that is when N_P^⊥ ∩ N_Q^⊥ = 0 and N_P + N_Q is Q^n;
+    otherwise the pair is dropped before any reduction or LP. Then P's
+    equalities c·y = 0 and Q's c·y = c·v have a solution y for every v,
+    and a row tight along relint(P ∩ Q), being constant on A, is there a
+    linear function of v. One reduction of the inequality rows, (a | 0)
+    and (a | a), reads it off: a reduced row whose first n entries are
+    zero is constant on A, and the last n entries of each such row tight
+    at the pair's point are its g; (Q, P) gives -g.
 
     The point is the origin of the homogenized coordinates (y, s) when it
     is feasible: every d is 0, every b of a constant row is >= 0 and every
@@ -571,6 +562,8 @@ def link_difference(p, q):
     (pi, pe), (qi, qe) = p.hrep(), q.hrep()
     zero = (0,) * n
     echelon = _echelon([r[:n] + zero for r in pe] + [r[:n] + r[:n] for r in qe])
+    if any(vec_is_zero(e[:n]) for e in echelon):
+        return None
     rows = pi + qi
     reduced = reduce_modulo(echelon, [r[:n] + zero for r in pi] + [r[:n] + r[:n] for r in qi])
     constant = [vec_is_zero(r[:n]) for r in reduced]

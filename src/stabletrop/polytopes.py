@@ -16,9 +16,8 @@ mixed volumes (the generic root counts of sparse polynomial systems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 
 from stabletrop.cycles import TropicalCycle, cycle, zero_cycle
@@ -42,18 +41,13 @@ from stabletrop.stable import stable_intersection
 @dataclass(frozen=True)
 class RationalPolytope:
     """Bounded convex hull of finitely many rational points, stored by its
-    canonical (inclusion-minimal, sorted) vertex list."""
+    canonical (inclusion-minimal, sorted) vertex list, beside the hull as
+    a Polyhedron whose V-rep is that list; equality, hashing and repr
+    read the vertices only."""
 
     ambient_dim: int
     vertices: tuple
-
-    @cached_property
-    def polyhedron(self) -> Polyhedron:
-        """The polytope as a Polyhedron, built once, its V-rep the stored
-        canonical vertices; `polytope` installs the hull it converted."""
-        poly = Polyhedron.from_vrep(self.ambient_dim, list(self.vertices))
-        poly._vrep = (self.vertices, (), ())
-        return poly
+    polyhedron: Polyhedron = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -93,10 +87,7 @@ def polytope(ambient_dim: int, points) -> RationalPolytope:
     verts, rays, lin = hull.vrep()
     if rays or lin:
         raise ValidationError("point set is unbounded")
-    rp = RationalPolytope(ambient_dim, verts)
-    # the hull has converted both ways: hand it over as the cached polyhedron
-    rp.__dict__["polyhedron"] = hull
-    return rp
+    return RationalPolytope(ambient_dim, verts, hull)
 
 
 def from_polyhedron(p: Polyhedron) -> RationalPolytope:
@@ -104,7 +95,7 @@ def from_polyhedron(p: Polyhedron) -> RationalPolytope:
         raise ValidationError("empty polyhedron is not a polytope")
     if not p.is_bounded:
         raise ValidationError("polyhedron is unbounded")
-    return RationalPolytope(p.ambient_dim, p.vrep()[0])
+    return RationalPolytope(p.ambient_dim, p.vrep()[0], p)
 
 
 def standard_simplex(n: int) -> RationalPolytope:

@@ -2,14 +2,15 @@
 
 The primary engine evaluates the displacement definition directly, one
 cell pair at a time (the fan displacement rule): a pair whose direction
-lattices sum to full rank (`int_rank`), whose intersection has the
-expected dimension, and whose links C_x, C_y at an interior point of it
-still meet after C_y is moved by a certified generic displacement vector
-v adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
-Both tests read the cells' integer canonical rows and convert nothing:
-`link_difference` decides the dimension, by the origin, by signs on a
-line, or else by one LP, and gives the integer rows g of C_x - C_y, found
-by one elimination; v then passes when every g·v >= 0, with no LP. Where
+lattices sum to full rank, whose intersection has the expected
+dimension, and whose links C_x, C_y at an interior point of it still
+meet after C_y is moved by a certified generic displacement vector v
+adds m_sigma * m_tau * [Z^n : N_sigma + N_tau] on that intersection.
+Every test reads the cells' integer canonical rows and converts nothing:
+`link_difference` decides the span from the echelon of both cells'
+equality normals, then the dimension, by the origin, by signs on a line,
+or else by one LP, and gives the integer rows g of C_x - C_y, found by
+one elimination; v then passes when every g·v >= 0, with no LP. Where
 the intersection is a point, this is the mixed-cell test of the tropical
 Bernstein count. Only a pair that passes takes the Hermite form of its
 lattice sum and builds its intersection. The vector v avoids the spans
@@ -17,8 +18,8 @@ of the rank-deficient face-lattice pairs, each found by a fraction-free
 rank test; a pair nested in one side's span sums to that side, and only
 the others take a Hermite form (`displacement_vector`). A self-product,
 two factors with equal cells (h . h, or the overlay of h times h in
-`stable_power`), decides each unordered pair once: (j, i) takes the rank
-and the rows of (i, j), and passes when every g·v <= 0, since
+`stable_power`), decides each unordered pair once: (j, i) takes the rows
+of (i, j), or its None, and passes when every g·v <= 0, since
 C_j - C_i = -(C_i - C_j); each unordered face-lattice pair is
 rank-tested once. The terms are overlaid one affine hull at a time
 (`normalize_weighted`), so the overlay never sees two hulls at once.
@@ -125,32 +126,18 @@ def displacement_vector(x: TropicalCycle, y: TropicalCycle) -> GenericVector:
     return pick_generic_vector(n, avoid)
 
 
-def _spanning_pairs(x: TropicalCycle, y: TropicalCycle):
-    """(i, j) for each cell pair whose direction lattices sum to full
-    rank (`int_rank`), in row order; with equal cells, (j, i) takes the
-    rank of (i, j)."""
-    n = x.ambient_dim
-    same = x.cells == y.cells
-    lats = [c.direction_lattice().generators for c in y.cells]
-    full = {}
-    for i, sx in enumerate(x.cells):
-        lx = sx.direction_lattice().generators
-        for j, ly in enumerate(lats):
-            if ((j, i) in full) if same and j < i else int_rank(lx + ly) == n:
-                full[i, j] = True
-    return list(full)
-
-
 def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> IntersectionReport:
     """Displacement-definition engine with its audit trail.
 
-    Each spanning cell pair whose intersection has the expected dimension
-    adds its term on that intersection when the displaced links meet; the
-    relative interior of the intersection lies in the relative interior
-    of one face of each cell, so testing one interior point decides it.
-    When the factors have equal cells, (j, i) tests the rows of (i, j)
-    with the sign turned, kept for this run only. Terms overlapping
-    within one affine hull add up in the result."""
+    Every cell pair, in row order, goes through `link_difference`, which
+    drops a pair that does not span or whose intersection lacks the
+    expected dimension; each other pair adds its term on that
+    intersection when the displaced links meet. The relative interior of
+    the intersection lies in the relative interior of one face of each
+    cell, so testing one interior point decides it. When the factors
+    have equal cells, (j, i) tests the rows of (i, j) with the sign
+    turned, kept for this run only. Terms overlapping within one affine
+    hull add up in the result."""
     if x.ambient_dim != y.ambient_dim:
         raise DimensionError("ambient dimensions differ")
     n = x.ambient_dim
@@ -162,17 +149,17 @@ def stable_intersection_report(x: TropicalCycle, y: TropicalCycle) -> Intersecti
     contribs = {}
     same = x.cells == y.cells
     decided = {}
-    for i, j in _spanning_pairs(x, y):
-        sx, sy = x.cells[i], y.cells[j]
-        sign = -1 if same and j < i else 1
-        rows = decided[j, i] if sign < 0 else decided.setdefault((i, j), link_difference(sx, sy))
-        if rows is None or any(sign * vec_dot(g, gen.vector) < 0 for g in rows):
-            continue
-        idx = lattice_index(amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice()))
-        w = sx.intersect(sy)
-        term = x.multiplicities[i] * y.multiplicities[j] * idx
-        weighted.append((w, term))
-        contribs.setdefault(w.key(), []).append(FacetContribution(i, j, idx, term))
+    for i, sx in enumerate(x.cells):
+        for j, sy in enumerate(y.cells):
+            sign = -1 if same and j < i else 1
+            rows = decided[j, i] if sign < 0 else decided.setdefault((i, j), link_difference(sx, sy))
+            if rows is None or any(sign * vec_dot(g, gen.vector) < 0 for g in rows):
+                continue
+            idx = lattice_index(amb, sum_lattices(sx.direction_lattice(), sy.direction_lattice()))
+            w = sx.intersect(sy)
+            term = x.multiplicities[i] * y.multiplicities[j] * idx
+            weighted.append((w, term))
+            contribs.setdefault(w.key(), []).append(FacetContribution(i, j, idx, term))
     z = cycle(n, weighted)
     term = IntersectionTerm(1, z, gen, tuple(tuple(contribs[c.key()]) for c in z.cells))
     return IntersectionReport(normalize_weighted(n, z.weighted_cells()), (term,))
@@ -243,10 +230,13 @@ def perturbation_intersection(x: TropicalCycle, y: TropicalCycle) -> Perturbatio
     cones, sigma ∩ (tau + eps v) = eps (sigma ∩ (tau + v)) for every
     eps > 0, so neither the pieces' pattern nor their recession cones
     depend on eps. The limit cycle collects the recession cones of the
-    transverse pieces. A spanning pair that meets has v inside sigma -
-    tau, whose boundary lies in spans of deficient face pairs that v
-    avoids, so its piece is transverse. The limit must coincide with the
-    stable intersection; the transverse cycle is the displaced witness.
+    transverse pieces. Every cell pair is intersected, and a pair that
+    meets has v inside sigma - tau. That cone lies in span(N_sigma +
+    N_tau), which v avoids when it is deficient (`all_faces` lists each
+    cell among its faces), so only spanning pairs meet; the boundary of
+    sigma - tau lies in spans of deficient face pairs, so each piece is
+    transverse. The limit must coincide with the stable intersection;
+    the transverse cycle is the displaced witness.
     Where an input is zero or the expected dimension is negative, both
     are the zero cycle, as in the engine.
     """
@@ -266,15 +256,15 @@ def perturbation_intersection(x: TropicalCycle, y: TropicalCycle) -> Perturbatio
     amb = standard_lattice(n)
     weighted = []
     limit = []
-    for i, j in _spanning_pairs(x, y):
-        sx, sy = x.cells[i], y.cells[j]
-        w = sx.intersect(sy.translate(gen.vector))
-        if w.is_empty:
-            continue
-        lat = sum_lattices(sx.direction_lattice(), sy.direction_lattice())
-        term = x.multiplicities[i] * y.multiplicities[j] * lattice_index(amb, lat)
-        weighted.append((w, term))
-        rec = w.recession()
-        if rec.dim == k_res:
-            limit.append((rec, term))
+    for sx, mx in x.weighted_cells():
+        for sy, my in y.weighted_cells():
+            w = sx.intersect(sy.translate(gen.vector))
+            if w.is_empty:
+                continue
+            lat = sum_lattices(sx.direction_lattice(), sy.direction_lattice())
+            term = mx * my * lattice_index(amb, lat)
+            weighted.append((w, term))
+            rec = w.recession()
+            if rec.dim == k_res:
+                limit.append((rec, term))
     return PerturbationResult(cycle(n, weighted), cycle(n, limit), gen)

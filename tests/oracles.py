@@ -11,9 +11,9 @@ local checks never build, with each facet normal signed by the interior
 points of the cell and the ridge (`interior_point_normal`), not by the
 facet row as the library signs it. `lp_cut` keeps the cut by emptiness and
 dimension tests on both closed halves, the reference for the library's
-cut by vertex signs. `hrep_facets`, `hrep_all_faces` and
-`hrep_minimal_face_at` rebuild each face from the H-rep with its tight
-rows made equalities, the reference for faces read off the V-rep.
+cut by vertex signs. `hrep_facets` and `hrep_all_faces` rebuild each
+face from the H-rep with its tight rows made equalities, the reference
+for faces read off the V-rep.
 `split_point_in_sum` decides membership in a signed Minkowski sum by one
 LP over the stacked coordinates of all operands, the reference for the
 library's LP displacement test by intersection, `point_in_sum`.
@@ -730,21 +730,6 @@ def canonical_hrep(n, ineq_rows, eq_rows):
 def hrep_dim(p):
     """Dimension read off the H-rep: ambient minus the equality rows."""
     return -1 if p.is_empty else p.ambient_dim - len(p.hrep()[1])
-
-
-def hrep_minimal_face_at(p, w):
-    """Smallest face containing the point w of p."""
-    if not p.contains(w):
-        raise ValidationError("point is not in the polyhedron")
-    w = tuple(Fraction(a) for a in w)
-    n = p.ambient_dim
-    ineqs, eqs = p.hrep()
-    tight = [r for r in ineqs if vec_dot(r[:n], w) == r[n]]
-    return Polyhedron.from_hrep(
-        n,
-        [(r[:n], r[n]) for r in ineqs],
-        [(r[:n], r[n]) for r in eqs] + [(r[:n], r[n]) for r in tight],
-    )
 
 
 def hrep_facets(p):

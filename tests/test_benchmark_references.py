@@ -1,7 +1,8 @@
 """The benchmark's correctness references, read only: the library must
-reproduce the canonical documents of the Q^5 scenario (perfbench/q5) and
-the answers of a `volumes` round (perfbench/volume_answers.json), so a
-wrong answer fails here rather than first in a benchmark run."""
+reproduce the canonical documents of the Q^5 scenario (perfbench/q5),
+pass the `q5-check` checks on them, and reproduce the answers of a
+`volumes` round (perfbench/volume_answers.json), so a wrong answer fails
+here rather than first in a benchmark run."""
 
 import json
 import sys
@@ -9,7 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from stabletrop import documents
-from stabletrop.connectivity import disconnection_scenario
+from stabletrop.connectivity import (
+    disconnection_scenario,
+    is_connected_through_codim1,
+    supports_meet_only_at_origin,
+)
+from stabletrop.cycles import is_balanced
 from stabletrop.polytopes import mixed_volume, normalized_volume, polytope
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -22,6 +28,19 @@ def test_q5_documents_match_the_references():
     for name in ("t1", "t2", "slice1", "slice2", "union"):
         text = documents.dumps(documents.cycle_to_document(getattr(scenario, name)))
         assert text.encode("utf-8") == (PERFBENCH / "q5" / f"{name}.json").read_bytes(), name
+
+
+def test_q5_checks_hold_on_the_references():
+    # the four checks of the q5-check workload, on cycles loaded from the
+    # documents, whose cells keep the generators they were written with
+    c = {
+        name: documents.document_to_cycle(documents.loads((PERFBENCH / "q5" / f"{name}.json").read_text()))
+        for name in ("t1", "slice1", "slice2")
+    }
+    assert is_balanced(c["slice1"])[0] is True
+    assert is_connected_through_codim1(c["slice1"]) is True
+    assert is_connected_through_codim1(c["t1"]) is True
+    assert supports_meet_only_at_origin(c["slice1"], c["slice2"]) is True
 
 
 def test_volumes_round_matches_the_answers():

@@ -18,7 +18,6 @@ from oracles import (
     hrep_all_faces,
     hrep_dim,
     hrep_facets,
-    hrep_minimal_face_at,
     intersect_then_link,
     link_at,
     lp_cut,
@@ -445,19 +444,18 @@ def test_faces_of_cone_with_lineality():
 
 
 def test_minimal_face_and_is_face():
+    # the bottom edge is the smallest face holding (1/2, 0), and its
+    # corner the smallest holding (0, 0); half the edge is no face
     sq = Polyhedron.from_vrep(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    v = sq.minimal_face_at((0, 0))
-    assert v == Polyhedron.point((0, 0))
-    e = sq.minimal_face_at((Fraction(1, 2), 0))
-    assert e == Polyhedron.from_vrep(2, [(0, 0), (1, 0)])
-    assert e.is_face_of(sq)
+    e = Polyhedron.from_vrep(2, [(0, 0), (1, 0)])
+    assert e.is_face_of(sq) and Polyhedron.point((0, 0)).is_face_of(e)
     assert not Polyhedron.from_vrep(2, [(0, 0), (Fraction(1, 2), 0)]).is_face_of(sq)
 
 
 def test_faces_need_no_conversion(monkeypatch):
     # faces are read off the cell's canonical V-rep: once a cell has both
-    # representations, its faces, facets and minimal faces, with their
-    # keys, dimensions and direction lattices, make no _dd call
+    # representations, its faces and facets, with their keys, dimensions
+    # and direction lattices, make no _dd call
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0)])
     cells = list(tropical_hypersurface(p).cells) + [p.polyhedron]
     for c in cells:
@@ -468,7 +466,6 @@ def test_faces_need_no_conversion(monkeypatch):
     faces = [f for c in cells for f in c.all_faces()]
     assert (len(cells), len(faces)) == (7, 39)
     faces += [f for c in cells for f in c.facets()]
-    faces += [c.minimal_face_at(w) for c in cells for w in (c.interior_point(),) + c.vrep()[0]]
     for f in faces:
         f.key(), f.dim, f.direction_lattice()
     assert calls == []
@@ -478,11 +475,10 @@ def test_face_queries_compute_each_incidence_once(monkeypatch):
     # facets, all_faces and tropical_hypersurface read one cached incidence
     # of the body: with both representations computed, two rounds of them
     # make one integer dot per facet row and vertex (five times as many
-    # when each call tested the rows itself), and minimal_face_at at a
-    # vertex makes only the dots that test the point against the rows
+    # when each call tested the rows itself)
     p = polytope(3, [(0, 0, 3), (2, 0, 1), (2, 0, 3), (3, 1, 0), (1, 2, 2)])
     body = p.polyhedron
-    (ineqs, eqs), verts = body.hrep(), body.vrep()[0]
+    (ineqs, _), verts = body.hrep(), body.vrep()[0]
     dots = []
     for module in (polyhedra, polytopes):
         if hasattr(module, "vec_dot"):
@@ -490,11 +486,6 @@ def test_face_queries_compute_each_incidence_once(monkeypatch):
     for _ in range(2):
         body.facets(), body.all_faces(), tropical_hypersurface(p)
     assert (len(ineqs), len(verts), len(dots)) == (5, 5, 25)
-    dots.clear()
-    for _ in range(2):
-        for v in verts:
-            body.minimal_face_at(v)
-    assert len(dots) == 2 * len(verts) * (2 * len(ineqs) + len(eqs))
 
 
 def test_rows_are_made_primitive_at_the_door(monkeypatch):
@@ -629,10 +620,6 @@ def test_faces_match_hrep_reference(data):
     for faces, reference in ((cell.all_faces(), hrep_all_faces(cell)), (cell.facets(), hrep_facets(cell))):
         assert [f.key() for f in faces] == [f.key() for f in reference]
         assert [f.dim for f in faces] == [hrep_dim(f) for f in reference]
-    if not cell.is_empty:
-        for w in (cell.interior_point(),) + cell.vrep()[0]:
-            face, reference = cell.minimal_face_at(w), hrep_minimal_face_at(cell, w)
-            assert (face.key(), face.dim) == (reference.key(), hrep_dim(reference))
 
 
 @st.composite
@@ -666,11 +653,12 @@ def test_point_in_sum_matches_split_lp(data):
 
 
 @st.composite
-def fan_pairs(draw, n):
+def fan_pairs(draw, n, spanning=True):
     """Two cones of hypersurface fans of lattice polytopes in [0, 2]^n,
-    each a cell or a face of one, whose direction lattices sum to Z^n;
-    pairs meeting in a point (dimensions adding up to n) are frequent,
-    and the two fans are often the same one."""
+    each a cell or a face of one, whose direction lattices sum to Z^n
+    unless `spanning` is false; pairs meeting in a point (dimensions
+    adding up to n) are frequent, and the two fans are often the same
+    one."""
     coords = st.tuples(*[st.integers(0, 2)] * n)
     bodies = st.lists(coords, min_size=2, max_size=n + 2, unique=True).map(lambda pts: polytope(n, pts))
     fans = [tropical_hypersurface(draw(bodies)) for _ in range(2)]
@@ -678,21 +666,21 @@ def fan_pairs(draw, n):
     if draw(st.booleans()):
         fans[1] = fans[0]
     p, q = (draw(st.sampled_from([f for c in fan.cells for f in c.all_faces()])) for fan in fans)
-    assume(sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
+    assume(not spanning or sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
     return p, q
 
 
 @st.composite
-def meeting_pairs(draw, n):
-    """Two cells of `cut_cells` whose direction lattices sum to Z^n, as
-    the engine pairs them, the second often translated. Or a cell P and
+def meeting_pairs(draw, n, spanning=True):
+    """Two cells of `cut_cells` whose direction lattices sum to Z^n unless
+    `spanning` is false, the second often translated. Or a cell P and
     a facet F of it shifted along F, maybe widened by a ray along F or
     any ray: such a pair meets inside F, touches P in a lower dimension,
     overlaps P, or misses it. Or two cones of hypersurface fans
     (`fan_pairs`), which the origin decides with no LP."""
     kind = draw(st.sampled_from(("cells", "facet", "fans")))
     if kind == "fans":
-        return draw(fan_pairs(n))
+        return draw(fan_pairs(n, spanning))
     p = draw(cut_cells(n))
     facets = p.facets()
     if facets and kind == "facet":
@@ -708,7 +696,7 @@ def meeting_pairs(draw, n):
     else:
         q = draw(cut_cells(n))
         q = q.translate(draw(st.lists(st.sampled_from((-1, 0, Fraction(1, 2), 1)), min_size=n, max_size=n)))
-    assume(sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
+    assume(not spanning or sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n)
     return p, q
 
 
@@ -757,6 +745,32 @@ def test_link_difference_of_a_swapped_pair_is_negated(data):
     if p.is_cone and q.is_cone and p.dim + q.dim <= n + 1:
         assert not calls
         assert rows is not None or p.dim + q.dim == n + 1
+
+
+@given(st.data())
+def test_link_difference_rejects_pairs_that_do_not_span(data):
+    # a pair whose direction lattices sum to rank below n is dropped at
+    # the echelon of its equality normals, in both orders, before any
+    # reduction or LP; parallel and equal cells, most of which do not
+    # span, are drawn beside the pairs of `meeting_pairs`
+    n = data.draw(st.sampled_from((2, 3)))
+    p, q = data.draw(meeting_pairs(n, spanning=False))
+    kind = data.draw(st.sampled_from(("drawn", "parallel", "equal")))
+    if kind != "drawn":
+        q = p.translate(data.draw(ivec(n))) if kind == "parallel" else p
+    if sum_lattices(p.direction_lattice(), q.direction_lattice()).rank == n:
+        return
+    p.hrep(), q.hrep()
+    calls = []
+    saved = {name: getattr(polyhedra, name) for name in ("feasible_point", "reduce_modulo")}
+    for name, f in saved.items():
+        setattr(polyhedra, name, lambda *a, name=name, f=f: calls.append(name) or f(*a))
+    try:
+        assert link_difference(p, q) is None and link_difference(q, p) is None
+    finally:
+        for name, f in saved.items():
+            setattr(polyhedra, name, f)
+    assert calls == []
 
 
 def test_is_polyhedral_complex_detects_bad_pair():

@@ -33,7 +33,6 @@ from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import mixed_volume, normalized_volume, polytope, standard_simplex, tropical_hypersurface
 from stabletrop.stable import (
     FacetContribution,
-    _spanning_pairs,
     displacement_vector,
     perturbation_intersection,
     stable_intersection,
@@ -476,6 +475,12 @@ def hypersurface_pair():
     return x, y
 
 
+def spanning_pairs(x, y):
+    """The number of cell pairs whose direction lattices sum to rank n."""
+    lats = lambda z: [c.direction_lattice().generators for c in z.cells]
+    return sum(lattices.int_rank(a + b) == x.ambient_dim for a in lats(x) for b in lats(y))
+
+
 def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     # each spanning pair is decided by one LP on the cells' rows in the
     # homogenized coordinates (y, s), 4 variables in Q^3, and the
@@ -493,7 +498,7 @@ def test_engine_lps_are_in_the_ambient_coordinates(monkeypatch):
     monkeypatch.setattr(polyhedra, "feasible_point", lambda n, *a, **k: calls.append(n) or lp(n, *a, **k))
     report = stable_intersection_report(x, y)
     assert len(report.result.cells) == 14
-    assert len(_spanning_pairs(x, y)) == calls.count(4) == len(calls) == 35
+    assert spanning_pairs(x, y) == calls.count(4) == len(calls) == 35
 
 
 def test_engine_converts_only_contributing_intersections(monkeypatch):
@@ -561,16 +566,18 @@ def counting(monkeypatch, module, name, calls):
 
 
 def test_self_product_decides_each_unordered_pair_once(monkeypatch):
-    # in h . h the pair (j, i) takes the rank of (i, j) and tests its
+    # in h . h the pair (j, i) takes the decision of (i, j) and tests its
     # displacement on the rows of C_i - C_j with the sign turned, and
-    # each unordered pair of the 11 face lattices is rank-tested once: 15
-    # of the 30 ordered spanning pairs run `link_difference`, and
-    # `int_rank` runs on 66 of 121 lattice pairs (55 + 11) and 21 of 36
-    # cell pairs. `sum_lattices` runs for the 6 deficient lattice pairs
-    # not nested in one side and the 4 contributing cell pairs (27 when
-    # every unordered cell pair took the Hermite form of its sum and the
-    # displacement test was an LP). The overlay of h has equal cells but
-    # is another object, and counts the same
+    # each unordered pair of the 11 face lattices is rank-tested once:
+    # `link_difference` runs on the 21 unordered pairs of the 6 cells and
+    # decides their span itself, and `int_rank` on 66 of 121 lattice
+    # pairs (55 + 11; a separate rank pass over the cell pairs made 21
+    # more and left 15 spanning pairs to `link_difference`).
+    # `sum_lattices` runs for the 6 deficient lattice pairs not nested in
+    # one side and the 4 contributing cell pairs (27 when every unordered
+    # cell pair took the Hermite form of its sum and the displacement test
+    # was an LP). The overlay of h has equal cells but is another object,
+    # and counts the same
     h = q3_body_hypersurface()
     overlay = normalize_weighted(3, h.weighted_cells())
     assert overlay is not h and overlay.cells == h.cells
@@ -581,9 +588,9 @@ def test_self_product_decides_each_unordered_pair_once(monkeypatch):
         counting(monkeypatch, polyhedra, "feasible_point", calls)
         report = stable_intersection_report(x, h)
         monkeypatch.undo()
-        assert len(_spanning_pairs(x, h)) == 30
-        assert calls.count("link_difference") == 15 and calls.count("feasible_point") == 0
-        assert calls.count("int_rank") == 87 and calls.count("sum_lattices") == 10
+        assert spanning_pairs(x, h) == 30
+        assert calls.count("link_difference") == 21 and calls.count("feasible_point") == 0
+        assert calls.count("int_rank") == 66 and calls.count("sum_lattices") == 10
         assert len(report.result.cells) == 4
 
 
@@ -623,14 +630,17 @@ def test_simplex_volume_counts_in_q5(monkeypatch):
     # pair LP each, took 7,296 `int_rank`, 3,630 `sum_lattices`, 615 pair
     # tests and 1,065 LPs; with the swapped pairs but a displacement LP
     # per pair and a lattice sum per unordered spanning pair, 5,700,
-    # 3,015, 510 and 930
+    # 3,015, 510 and 930. `link_difference` decides the span too, so it
+    # runs on every unordered pair of a self-product and every ordered
+    # pair of the others, 735 (510 and 6,435 `int_rank` with a separate
+    # rank pass over the cell pairs)
     calls = []
     for name in ("int_rank", "sum_lattices", "link_difference"):
         counting(monkeypatch, stable, name, calls)
     counting(monkeypatch, polyhedra, "feasible_point", calls)
     assert normalized_volume(standard_simplex(5)) == 1
     counts = {name: calls.count(name) for name in dict.fromkeys(calls)}
-    assert counts == {"int_rank": 6435, "sum_lattices": 2322, "link_difference": 510, "feasible_point": 345}
+    assert counts == {"int_rank": 5700, "sum_lattices": 2322, "link_difference": 735, "feasible_point": 345}
 
 
 def test_volumes_in_q3_run_no_lp(monkeypatch):
