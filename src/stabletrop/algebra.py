@@ -233,9 +233,11 @@ def build_hypersurface_basis(ambient_dim: int, walls) -> WallBasis:
 def polytope_from_weights(z: TropicalCycle) -> RationalPolytope:
     """Rebuild a polytope whose hypersurface is the given fan cycle.
 
-    Walks the chamber graph of the arrangement spanned by the cells,
-    stepping the vertex by weight times the primitive wall normal; the
-    result is verified and anchored at the origin on the first chamber.
+    Walks the chamber graph of the arrangement spanned by the cells, each
+    wall once (`_ridge_index`: chambers of an arrangement share whole
+    facets), stepping the vertex by the wall's weight times its primitive
+    normal, minus the facet row of the chamber left; the result is
+    verified and anchored at the origin on the first chamber.
     """
     n = z.ambient_dim
     if z.is_zero:
@@ -246,26 +248,20 @@ def polytope_from_weights(z: TropicalCycle) -> RationalPolytope:
         if not c.is_cone:
             raise ValidationError("reconstruction needs a fan")
     chambers = _cut(Polyhedron.ambient(n), _hyperplanes_of(z.cells))
+    steps = [[] for _ in chambers]
+    for ridge, members in _ridge_index(chambers).values():
+        weight = z.mult_at(ridge.interior_point())
+        (a, row_a), (b, row_b) = members
+        steps[a].append((b, [-weight * h for h in row_a[:n]]))
+        steps[b].append((a, [-weight * h for h in row_b[:n]]))
     verts = {0: tuple(Fraction(0) for _ in range(n))}
     queue = [0]
     while queue:
         a = queue.pop()
-        pa = chambers[a]
-        inner_a = pa.interior_point()
-        for b in range(len(chambers)):
-            if b in verts:
-                continue
-            wall = pa.intersect(chambers[b])
-            if wall.is_empty or wall.dim != n - 1:
-                continue
-            normal = wall.eq_rows[0][:n]
-            if sum(h * g for h, g in zip(normal, inner_a)) < 0:
-                normal = tuple(-h for h in normal)
-            weight = z.mult_at(wall.interior_point())
-            verts[b] = tuple(
-                v + weight * h for v, h in zip(verts[a], normal)
-            )
-            queue.append(b)
+        for b, step in steps[a]:
+            if b not in verts:
+                verts[b] = tuple(v + h for v, h in zip(verts[a], step))
+                queue.append(b)
     p = polytope(n, list(verts.values()))
     if not cycles_equal(tropical_hypersurface(p), z):
         raise ValidationError("weights are not the hypersurface of a polytope")

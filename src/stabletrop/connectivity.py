@@ -17,8 +17,9 @@ intersection, even against an invertible-weight hyperplane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from stabletrop.cycles import TropicalCycle, cycle, cycle_sum, normalize_weighted
+from stabletrop.cycles import TropicalCycle, _ridge_index, cycle, cycle_sum, normalize_weighted
 from stabletrop.lattices import int_rank
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import RationalPolytope, polytope, standard_simplex, tropical_hypersurface
@@ -26,54 +27,49 @@ from stabletrop.stable import stable_intersection, stable_power
 
 
 def facet_graph(x: TropicalCycle):
-    """Per-hull overlay of x plus the adjacency lists of its facets: two
-    facets are adjacent when they meet in dimension one less. A pair
-    whose affine hulls cannot meet in that dimension is skipped before
-    its intersection is converted: the stacked equality rows of two
-    d-cells, which the overlay has already computed to group them by
-    hull, have rank n - 2d + rank(N_a + N_b) when the hulls meet and one
-    more when they do not, so aff a ∩ aff b has dimension d - 1 or more
-    only when that rank is at most n - d + 1 (`int_rank`)."""
-    n = x.ambient_dim
-    refined = normalize_weighted(n, x.weighted_cells())
-    d = refined.dim
+    """Per-hull overlay of x plus its facet graph: adj[i] lists the cells
+    sharing a facet with cell i, read off `_ridge_index`. Within one hull
+    the overlay is a complex, so its cells meet in common faces, and cells
+    of different hulls meet in dimension at most d - 1: two cells sharing
+    a facet meet in exactly d - 1. Cells of different hulls may also meet
+    in d - 1 with no shared facet, as two crossing lines do."""
+    refined = normalize_weighted(x.ambient_dim, x.weighted_cells())
     adj = [[] for _ in refined.cells]
-    eqs = [c.hrep()[1] for c in refined.cells]
-    for i, a in enumerate(refined.cells):
-        for j in range(i + 1, len(refined.cells)):
-            if d > 0 and int_rank(eqs[i] + eqs[j]) <= n - d + 1 and a.intersect(refined.cells[j]).dim == d - 1:
-                adj[i].append(j)
-                adj[j].append(i)
+    for _, members in _ridge_index(refined.cells).values():
+        for i, _ in members:
+            adj[i].extend(j for j, _ in members if j != i)
     return refined, adj
 
 
 def connected_components(x: TropicalCycle):
-    """The cycle split along its facet graph; a zero cycle has none."""
+    """The cycle split through codimension one, in order of first cells; a
+    zero cycle has none. The facet graph is joined by union-find (Tarjan
+    1975); then a pair still in two classes is converted when its hulls
+    can meet in dimension d - 1: the stacked equality rows of two d-cells,
+    which the overlay has computed to group them by hull, have rank
+    n - 2d + rank(N_a + N_b) when the hulls meet and one more when they do
+    not, so that rank is at most n - d + 1 (`int_rank`)."""
     refined, adj = facet_graph(x)
-    if refined.is_zero:
-        return []
-    seen = [False] * len(refined.cells)
-    out = []
-    for start in range(len(refined.cells)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        out.append(
-            cycle(
-                x.ambient_dim,
-                [(refined.cells[i], refined.multiplicities[i]) for i in comp],
-            )
-        )
-    return out
+    n, d, cells = x.ambient_dim, refined.dim, refined.cells
+    root = list(range(len(cells)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, neighbors in enumerate(adj):
+        for j in neighbors:
+            root[find(j)] = find(i)
+    for i, j in combinations(range(len(cells)), 2):
+        if d and find(i) != find(j) and int_rank(cells[i].hrep()[1] + cells[j].hrep()[1]) <= n - d + 1:
+            if cells[i].intersect(cells[j]).dim == d - 1:
+                root[find(j)] = find(i)
+    comps = {}
+    for i, c in enumerate(cells):
+        comps.setdefault(find(i), []).append((c, refined.multiplicities[i]))
+    return [cycle(n, comp) for comp in comps.values()]
 
 
 def is_connected_through_codim1(x: TropicalCycle) -> bool:
@@ -86,7 +82,7 @@ def supports_meet_only_at_origin(a: TropicalCycle, b: TropicalCycle) -> bool:
     equality rows have rank n, since those rows span the orthogonal
     complement of each span; such cones meet in the origin alone and are
     settled with no conversion of their intersection (`int_rank`, as in
-    `facet_graph`)."""
+    `connected_components`)."""
     n = a.ambient_dim
     origin = Polyhedron.point(tuple(0 for _ in range(n)))
     for ca in a.cells:

@@ -35,6 +35,7 @@ from stabletrop import stable
 from stabletrop.errors import ValidationError
 from stabletrop.polyhedra import Polyhedron
 from stabletrop.polytopes import (
+    cube,
     normalized_volume,
     polytope,
     standard_simplex,
@@ -247,6 +248,28 @@ def test_reconstruction_round_trip(p):
     q = polytope_from_weights(z)
     assert cycles_equal(tropical_hypersurface(q), z)
     assert len(q.vertices) == len(p.vertices)
+
+
+def test_reconstruction_round_trip_in_higher_dimensions(monkeypatch):
+    # each body comes back as its translate by the vertex of the first
+    # chamber; the chambers are walked across their shared facets with no
+    # pairwise intersection, so the Q^4 simplex takes 238 `intersect`
+    # calls, all in cutting the chambers and verifying the result
+    bodies = [
+        standard_simplex(3),
+        cube(3),
+        polytope(3, [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 3), (1, 1, 1)]),
+        standard_simplex(4),
+    ]
+    calls = []
+    intersect = Polyhedron.intersect
+    monkeypatch.setattr(Polyhedron, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
+    for p in bodies:
+        calls.clear()
+        q = polytope_from_weights(tropical_hypersurface(p))
+        shift = [a - b for a, b in zip(p.vertices[0], q.vertices[0])]
+        assert q.vertices == tuple(tuple(a - s for a, s in zip(v, shift)) for v in p.vertices)
+    assert len(calls) == 238
 
 
 # ------------------------------------------------------------- decomposition

@@ -1,6 +1,8 @@
 """End-to-end command line tests driving main() in process."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from stabletrop import documents
 from stabletrop.cli import main
@@ -363,6 +365,42 @@ def test_connectivity_command(tmp_path, capsys):
     assert report["connected_through_codim1"] is False
     assert report["component_count"] == 2
     assert report["component_cell_counts"] == [1, 1]
+
+
+Q5 = Path(__file__).resolve().parents[1] / "perfbench" / "q5"
+
+
+def test_connectivity_of_the_q5_references_is_pinned(capsys):
+    # the sum of the two slices splits into the 16 cells of slice2, which
+    # holds the first cell, and the 10 of slice1; the rest are connected
+    pinned = {
+        "t1": ([20], "5f54281e26e23024cff280f79873641ba59e9a1033ba5cf1f7a313152205a55c"),
+        "t2": ([20], "5f54281e26e23024cff280f79873641ba59e9a1033ba5cf1f7a313152205a55c"),
+        "slice1": ([10], "a66ae7538064a1fd12a74b65a80d438b34b857318361c1ad09992eff390f14ba"),
+        "slice2": ([16], "89ddebc46c2d747c29b728dcfb30a9e284050f3a09e85c67be8d80ff9e906eec"),
+        "union": ([16, 10], "f6a9a016633a9d1dd824a6bb5bba4a9bf848ec70a30433b13af9b902cc9b6430"),
+    }
+    for name, (counts, digest) in pinned.items():
+        code, out, err = run(capsys, ["connectivity", str(Q5 / f"{name}.json")])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["component_cell_counts"] == counts
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
+def test_disconnect_demo_output_is_pinned(capsys):
+    code, out, err = run(capsys, ["disconnect-demo"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "ambient_dim": 5,
+        "disconnected": True,
+        "slice_cell_counts": [10, 16],
+        "slices_balanced": [True, True],
+        "slices_meet_only_at_origin": True,
+        "square1_connected": True,
+        "square2_connected": True,
+        "union_component_count": 2,
+    }
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "0df8d5b52262a6ce3231fba93b769ab00a9370e6bc6289c4bcf787831abe203a"
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -253,8 +253,9 @@ def test_balancing_and_components_do_not_depend_on_the_presentation(xs):
 
 
 def every_pair_adjacency(refined):
-    """Test-side facet graph of an overlay: every pair's intersection is
-    converted for its dimension, with no rank filter."""
+    """Test-side graph of the cells of an overlay that meet in codimension
+    one: every pair's intersection is converted for its dimension, with no
+    rank filter."""
     d = refined.dim
     return [
         [j for j, b in enumerate(refined.cells) if j != i and d > 0 and a.intersect(b).dim == d - 1]
@@ -267,38 +268,36 @@ def q5_reference(name):
     return document_to_cycle(loads(path.read_text(encoding="utf-8")))
 
 
-def test_facet_graph_converts_only_pairs_whose_hulls_can_meet(monkeypatch):
-    # two 3-cells of t1 whose direction lattices sum to rank 5 cannot meet
-    # in a plane, so only 90 of t1's 190 pairs are converted, and 30 of
-    # slice1's 45; two cones of slice1 and slice2 whose lattices sum to
-    # the rank of both meet only at the origin, which settles 150 of
-    # their 160 pairs, so the four checks of the benchmark's q5-check unit
-    # call `intersect` 130 times (280 when every pair of slice1 and slice2
-    # was converted, 395 when every pair was). The graphs are those of
-    # converting every pair
-    cycles = {name: q5_reference(name) for name in ("t1", "slice1", "slice2")}
+def test_components_convert_only_pairs_the_facet_graph_leaves_apart(monkeypatch):
+    # the facet graph already joins t1 and slice1, so no pair is
+    # converted; in the union the two slices stay apart, and of their 160
+    # pairs the 10 whose hulls can meet in a line are converted. Two cones
+    # of slice1 and slice2 whose lattices sum to the rank of both meet
+    # only at the origin, which settles 150 of their 160 pairs, so the
+    # four checks of the benchmark's q5-check unit call `intersect` 10
+    # times, all of them in `supports_meet_only_at_origin`
+    cycles = {name: q5_reference(name) for name in ("t1", "slice1", "slice2", "union")}
     calls = []
     intersect = Polyhedron.intersect
     monkeypatch.setattr(Polyhedron, "intersect", lambda a, b: calls.append(1) or intersect(a, b))
-    for name, pairs, converted in (("t1", 190, 90), ("slice1", 45, 30)):
+    for name, counts, converted in (("t1", [20], 0), ("slice1", [10], 0), ("union", [16, 10], 10)):
         calls.clear()
-        refined, adj = facet_graph(cycles[name])
-        assert len(refined.cells) * (len(refined.cells) - 1) // 2 == pairs
-        assert len(calls) == converted
-        assert adj == every_pair_adjacency(refined)
+        assert [len(c.cells) for c in connected_components(cycles[name])] == counts
+        assert len(calls) == converted, name
     calls.clear()
     assert is_balanced(cycles["slice1"])[0]
     assert is_connected_through_codim1(cycles["slice1"]) and is_connected_through_codim1(cycles["t1"])
+    assert len(calls) == 0
     assert supports_meet_only_at_origin(cycles["slice1"], cycles["slice2"])
-    assert len(calls) == 130
+    assert len(calls) == 10
 
 
 @st.composite
 def surfaces_in_q4(draw):
     """Two-dimensional cones in Q^4 on pairs of a few small rays, some
-    translated: two cells share a ray, cross in a point, or miss, so
-    `facet_graph` skips pairs here, which it cannot for a hypersurface in
-    Q^2 or Q^3."""
+    translated: two cells share a ray, cross in a point, or miss, so the
+    rank filter of `connected_components` skips pairs here, which it
+    cannot for a hypersurface in Q^2 or Q^3."""
     rays = st.tuples(*[st.integers(-1, 1)] * 4).filter(any)
     pool = draw(st.lists(rays, min_size=3, max_size=5, unique=True))
     shift = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, -1, 0)])
@@ -310,13 +309,41 @@ def surfaces_in_q4(draw):
     return cycle(4, pairs)
 
 
+def shared_facet_pairs(refined):
+    """Test-side facet graph: the cells whose facet keys meet cell i's."""
+    keys = [{f.key() for f in c.facets()} for c in refined.cells]
+    return [[j for j in range(len(keys)) if j != i and keys[i] & keys[j]] for i in range(len(keys))]
+
+
+def graph_components(refined, adj):
+    """The cycles of the components of a graph on the cells, by search
+    from each unseen cell in order."""
+    seen, out = set(), []
+    for start in range(len(refined.cells)):
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            comp.append((refined.cells[i], refined.multiplicities[i]))
+            stack += [j for j in adj[i] if j not in seen]
+            seen.update(adj[i])
+        out.append(cycle(refined.ambient_dim, comp))
+    return out
+
+
 @settings(max_examples=30)
 @given(st.one_of(q2_presentation(), split_hypersurface_fans().map(lambda xs: xs[1]), surfaces_in_q4()))
-def test_facet_graph_matches_every_pair(x):
-    # the rank filter changes no edge: the graph is the one of converting
-    # every pair
+def test_facet_graph_is_the_shared_facet_graph_and_components_match_every_pair(x):
+    # the facet graph is read off the shared facets, each an edge of the
+    # graph of converting every pair; the pairs it misses change no
+    # component, in Q^3 and Q^4 as well as in the Q^2 of the arrangement
     refined, adj = facet_graph(x)
-    assert adj == every_pair_adjacency(refined)
+    every = every_pair_adjacency(refined)
+    assert [sorted(js) for js in adj] == shared_facet_pairs(refined)
+    assert all(set(js) <= set(every[i]) for i, js in enumerate(adj))
+    assert connected_components(x) == graph_components(refined, every)
 
 
 def every_pair_meets_only_at_origin(a, b):
